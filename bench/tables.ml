@@ -186,15 +186,13 @@ let print_ablation () =
 let print_extensions () =
   Fmt.pr
     "@.Extensions: symbolic return JFs; SCCP baseline; binding-graph solver@.";
-  Fmt.pr "%-11s | %8s %8s | %8s %8s | %14s %14s %14s@." "Program" "poly+R"
-    "+symret" "intra" "SCCP" "scc pops/evals" "fifo pops/evals"
-    "bg pops/evals";
+  Fmt.pr "%-11s | %8s %8s | %8s %8s | %14s %14s@." "Program" "poly+R"
+    "+symret" "intra" "SCCP" "scc pops/evals" "bg pops/evals";
   List.iter
-    (fun ((p : Programs.program), (base, symret, intra, sccp, s, fs, bs)) ->
-      Fmt.pr "%-11s | %8d %8d | %8d %8d | %6d/%-7d %6d/%-7d %6d/%-7d@."
+    (fun ((p : Programs.program), (base, symret, intra, sccp, s, bs)) ->
+      Fmt.pr "%-11s | %8d %8d | %8d %8d | %6d/%-7d %6d/%-7d@."
         p.Programs.name base symret intra sccp s.Ipcp_core.Solver.pops
-        s.Ipcp_core.Solver.jf_evals fs.Ipcp_core.Solver.pops
-        fs.Ipcp_core.Solver.jf_evals bs.Ipcp_core.Solver.pops
+        s.Ipcp_core.Solver.jf_evals bs.Ipcp_core.Solver.pops
         bs.Ipcp_core.Solver.jf_evals)
     (suite_rows (fun p ->
          let symtab =
@@ -213,22 +211,10 @@ let print_extensions () =
          let intra = Intra.count symtab in
          let sccp = Ipcp_opt.Sccp.count symtab in
          let s = t.Driver.solver.Ipcp_core.Solver.stats in
-         (* the paper's FIFO worklist on the same jump functions, for the
-            scheduling comparison *)
-         let fifo =
-           Ipcp_core.Solver.solve ~strategy:Ipcp_core.Solver.Fifo ~symtab
-             ~cg:t.Driver.cg ~jfs:t.Driver.jfs ()
-         in
          let bg =
            Ipcp_core.Bindgraph.solve ~symtab ~cg:t.Driver.cg ~jfs:t.Driver.jfs
          in
-         ( base,
-           symret,
-           intra,
-           sccp,
-           s,
-           fifo.Ipcp_core.Solver.stats,
-           bg.Ipcp_core.Solver.stats )))
+         (base, symret, intra, sccp, s, bg.Ipcp_core.Solver.stats)))
 
 let print_cloning () =
   Fmt.pr "@.Cloning advisor (Metzger–Stroud, §5): potential gains@.";

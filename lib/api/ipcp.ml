@@ -77,23 +77,6 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-(* Counters that depend on the environment rather than the input: wall
-   times, allocation volumes, the incremental engine's own bookkeeping,
-   and the pool/per-procedure profiling families (histogram buckets and
-   timers follow the scheduler and the clock).  Everything else is a
-   pure function of (source, config), which is what makes a replayed
-   warm run print the same statistics as the cold run that produced it. *)
-let deterministic counters =
-  List.filter
-    (fun (k, _) ->
-      not
-        (String.starts_with ~prefix:"time_ns/" k
-        || String.starts_with ~prefix:"gc." k
-        || String.starts_with ~prefix:"incr." k
-        || String.starts_with ~prefix:"pool." k
-        || String.starts_with ~prefix:"proc_ns." k))
-    counters
-
 module Result = struct
   type census = Driver.jf_census = {
     n_bottom : int;
@@ -221,7 +204,7 @@ let analyze_symtab_window ~reset_window ?(config = Config.default)
     if not (Obs.on ()) then { Incr.rs_counters = []; rs_convergence = [] }
     else
       {
-        Incr.rs_counters = deterministic (Metrics.snapshot ());
+        Incr.rs_counters = Metrics.deterministic (Metrics.snapshot ());
         rs_convergence = Metrics.convergence ();
       }
   in

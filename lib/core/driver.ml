@@ -169,7 +169,7 @@ let analyze ?(config = Config.default) (symtab : Symtab.t) : t =
   (* stage 3: interprocedural propagation *)
   let solver =
     Trace.span "stage3:propagate" (fun () ->
-        Solver.solve ~scc ~jobs ~symtab ~cg ~jfs ())
+        Solver.solve ~scc ~symtab ~cg ~jfs ())
   in
   { config; symtab; cfgs; convs; cg; modref; rjfs; evals; jfs; solver }
 

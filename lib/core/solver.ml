@@ -26,11 +26,13 @@
     within a condensation level a procedure is popped only after the
     callers that feed its VAL set, so most procedures see all their
     incoming lowerings in one visit — the Cooper–Kennedy ordering, and the
-    same intuition as Wegman–Zadeck's SCC-aware SCCP scheduling.  The
-    original FIFO discipline is kept as {!Fifo} for comparison; both reach
-    the same fixpoint (the iteration is chaotic and the evaluations
-    monotone), the priority order just needs fewer pops and fewer
-    jump-function re-evaluations.
+    same intuition as Wegman–Zadeck's SCC-aware SCCP scheduling.  It
+    reaches the fixpoint of the paper's FIFO discipline (the iteration is
+    chaotic and the evaluations monotone); on the suite it needed no more
+    pops (EXPERIMENTS.md).  This one schedule runs at every [jobs]
+    setting: the solve is a small share of a run, and a sequential
+    schedule keeps its statistics and convergence log independent of the
+    core count.
 
     {b Representation.}  During the fixpoint the VAL sets live in nested
     hash tables mutated in place — the inner loop was previously dominated
@@ -51,7 +53,6 @@ module Callgraph = Ipcp_callgraph.Callgraph
 module Scc = Ipcp_callgraph.Scc
 module Obs = Ipcp_obs.Obs
 module Metrics = Ipcp_obs.Metrics
-module Pool = Ipcp_par.Pool
 
 type stats = {
   mutable pops : int;  (** worklist pops *)
@@ -59,10 +60,6 @@ type stats = {
   mutable jf_eval_cost : int;  (** Σ cost(J) over evaluations *)
   mutable lowerings : int;  (** VAL entries lowered *)
 }
-
-(** Worklist discipline: the SCC-condensation priority order (default),
-    or the paper's plain FIFO (kept for the pops/evals comparison). *)
-type strategy = Scc_order | Fifo
 
 (** Parameters tracked for procedure [p]: scalar formals plus every scalar
     global of the program. *)
@@ -83,74 +80,50 @@ let params_of (symtab : Symtab.t) (psym : Symtab.proc_sym) : string list =
   formals @ globals
 
 (* ------------------------------------------------------------------ *)
-(* Worklists *)
+(* The worklist *)
 
-(* A deduplicating worklist: [push] answers whether the procedure was
-   newly queued, [pop] yields [None] at the fixpoint, [size] is the
-   queue length for the convergence log. *)
+(* A deduplicating priority queue over the procedures' SCC ranks.  Ranks
+   are dense and unique per procedure, so it is a pending-bit per rank
+   plus a cursor that only moves backwards on push; procedure counts are
+   small enough that the forward scan is cheap.  [size] is the queue
+   length for the convergence log. *)
 type worklist = {
-  push : string -> bool;
-  pop : unit -> string option;
-  size : unit -> int;
+  ranks : int SM.t;
+  by_rank : string array;
+  pending : bool array;
+  mutable size : int;
+  mutable cursor : int;
 }
 
-let fifo_worklist () : worklist =
-  let queue = Queue.create () in
-  let queued = Hashtbl.create 16 in
-  {
-    push =
-      (fun p ->
-        if Hashtbl.mem queued p then false
-        else begin
-          Hashtbl.replace queued p ();
-          Queue.add p queue;
-          true
-        end);
-    pop =
-      (fun () ->
-        match Queue.take_opt queue with
-        | None -> None
-        | Some p ->
-            Hashtbl.remove queued p;
-            Some p);
-    size = (fun () -> Queue.length queue);
-  }
-
-(* Ranks are dense and unique per procedure, so the priority queue is a
-   pending-bit per rank plus a cursor that only moves backwards on push;
-   procedure counts are small enough that the forward scan is cheap. *)
-let priority_worklist (ranks : int SM.t) : worklist =
-  let n = SM.cardinal ranks in
-  let by_rank = Array.make (max n 1) "" in
+let worklist (ranks : int SM.t) : worklist =
+  let n = max (SM.cardinal ranks) 1 in
+  let by_rank = Array.make n "" in
   SM.iter (fun p r -> by_rank.(r) <- p) ranks;
-  let pending = Array.make (max n 1) false in
-  let size = ref 0 in
-  let cursor = ref 0 in
-  {
-    push =
-      (fun p ->
-        let r = SM.find p ranks in
-        if pending.(r) then false
-        else begin
-          pending.(r) <- true;
-          incr size;
-          if r < !cursor then cursor := r;
-          true
-        end);
-    pop =
-      (fun () ->
-        if !size = 0 then None
-        else begin
-          while not pending.(!cursor) do
-            incr cursor
-          done;
-          let r = !cursor in
-          pending.(r) <- false;
-          decr size;
-          Some by_rank.(r)
-        end);
-    size = (fun () -> !size);
-  }
+  { ranks; by_rank; pending = Array.make n false; size = 0; cursor = 0 }
+
+(* [true] when [p] was newly queued *)
+let push wl p =
+  let r = SM.find p wl.ranks in
+  if wl.pending.(r) then false
+  else begin
+    wl.pending.(r) <- true;
+    wl.size <- wl.size + 1;
+    if r < wl.cursor then wl.cursor <- r;
+    true
+  end
+
+(* [None] at the fixpoint *)
+let pop wl =
+  if wl.size = 0 then None
+  else begin
+    while not wl.pending.(wl.cursor) do
+      wl.cursor <- wl.cursor + 1
+    done;
+    let r = wl.cursor in
+    wl.pending.(r) <- false;
+    wl.size <- wl.size - 1;
+    Some wl.by_rank.(r)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The solver, over any domain *)
@@ -193,9 +166,8 @@ module Make (D : Ipcp_domains.Domain.S) = struct
     if D.equal v D.top then `Top
     else match D.is_const v with Some _ -> `Const | None -> `Other
 
-  let solve ?(metrics_ns = "solver") ?(strategy = Scc_order) ?scc ?(jobs = 1)
-      ~(symtab : Symtab.t) ~(cg : Callgraph.t)
-      ~(jfs : Jumpfn.site_jfs list SM.t) () : t =
+  let solve ?(metrics_ns = "solver") ?scc ?jobs:_ ~(symtab : Symtab.t)
+      ~(cg : Callgraph.t) ~(jfs : Jumpfn.site_jfs list SM.t) () : t =
     let m name = metrics_ns ^ name in
     let stats = { pops = 0; jf_evals = 0; jf_eval_cost = 0; lowerings = 0 } in
     let prov = if Provenance.on () then Some (Provenance.create ()) else None in
@@ -247,362 +219,125 @@ module Make (D : Ipcp_domains.Domain.S) = struct
                 ~before:(pretty D.top) ~contrib:(pretty v) ~after:(pretty v))
         (main_seed symtab)
     in
-    let scc_lazy =
-      lazy (match scc with Some s -> s | None -> Scc.compute cg)
-    in
     (* the environment the jump functions read: the VAL table of the
-       procedure being processed, through one preallocated closure (the
-       sequential path and the narrowing pass; wavefront tasks bind
-       their own environments, this shared cell is not theirs to race
-       on) *)
+       procedure being processed, through one preallocated closure *)
     let env_tbl = ref (Hashtbl.create 1) in
     let env name =
       match Hashtbl.find_opt !env_tbl name with
       | Some v -> v
       | None -> D.bot
     in
-    (* ---------------------------------------------------------------- *)
-    (* Parallel SCC wavefronts.
-
-       The condensation is layered by longest path from the root
-       components: every inter-component call edge strictly increases
-       the level, so the components of one level share no edges and can
-       be solved concurrently.  A component task runs the ordinary
-       worklist restricted to its members, applying only
-       intra-component contributions; its cross-component contributions
-       are evaluated {e once, at the local fixpoint}, and applied by
-       the coordinator in canonical component order before the next
-       level starts.  Because jump-function evaluation is monotone and
-       a component's environment only descends, the meet of the
-       transient values an out-edge would have contributed in the
-       sequential schedule equals its evaluation at the final local
-       environment — so the fixpoint is exactly the sequential one, and
-       only the iteration statistics (pops, evaluation counts) differ.
-
-       Widening domains are excluded (a widened result depends on
-       iteration order), as are provenance runs (the recorded "last
-       lowering" edge is schedule-dependent). *)
-    let solve_wavefront (scc : Scc.t) =
-      let comps = Array.of_list scc.Scc.components in
-      let nc = Array.length comps in
-      let cid_of p = SM.find p scc.Scc.comp_of in
-      let sites_of p = Option.value ~default:[] (SM.find_opt p jfs) in
-      (* inter-component callee edges; [components] is reverse
-         topological, so edges go from higher to lower index *)
-      let succs = Array.make nc [] in
-      Array.iteri
-        (fun c members ->
+    let scc = match scc with Some s -> s | None -> Scc.compute cg in
+    let wl = worklist (Scc.top_down_ranks scc) in
+    let enqueue p = if push wl p then Metrics.incr (m ".pushes") in
+    (* per-entry lowering counts, for the widening switch; a finite-height
+       domain never needs them *)
+    let lower_counts : (string * string, int) Hashtbl.t =
+      Hashtbl.create (if D.finite_height then 1 else 64)
+    in
+    List.iter enqueue cg.Callgraph.procs;
+    let rec iterate () =
+      match pop wl with
+      | None -> ()
+      | Some p ->
+          stats.pops <- stats.pops + 1;
+          if Obs.on () then begin
+            Metrics.incr (m ".pops");
+            (* the convergence log is a single unlabelled sequence; only
+               the primary (constant) solve feeds it *)
+            if metrics_ns = "solver" then
+              Metrics.converge ~worklist:wl.size ~top:!n_top
+                ~const:!n_const ~bottom:!n_bottom
+          end;
+          env_tbl := Hashtbl.find vals p;
           List.iter
-            (fun p ->
+            (fun (sj : Jumpfn.site_jfs) ->
+              let q = sj.Jumpfn.sj_site.Ipcp_ir.Instr.callee in
+              let qtbl = Hashtbl.find vals q in
+              let lowered = ref false in
               List.iter
-                (fun (sj : Jumpfn.site_jfs) ->
-                  let cq = cid_of sj.Jumpfn.sj_site.Instr.callee in
-                  if cq <> c && not (List.mem cq succs.(c)) then
-                    succs.(c) <- cq :: succs.(c))
-                (sites_of p))
-            members)
-        comps;
-      let level = Array.make (max nc 1) 0 in
-      for c = nc - 1 downto 0 do
-        List.iter
-          (fun c' ->
-            if level.(c) + 1 > level.(c') then level.(c') <- level.(c) + 1)
-          succs.(c)
-      done;
-      let max_level = Array.fold_left max 0 level in
-      let by_level = Array.make (max_level + 1) [] in
-      for c = nc - 1 downto 0 do
-        by_level.(level.(c)) <- c :: by_level.(level.(c))
-      done;
-      (* a component's scheduling cost: its jump-function entries *)
-      let comp_cost c =
-        List.fold_left
-          (fun acc p ->
-            List.fold_left
-              (fun acc (sj : Jumpfn.site_jfs) ->
-                acc + List.length sj.Jumpfn.jfs)
-              (acc + 1) (sites_of p))
-          0 comps.(c)
-      in
-      let env_of tbl name =
-        match Hashtbl.find_opt tbl name with Some v -> v | None -> D.bot
-      in
-      let count_eval (st : stats) jf =
-        st.jf_evals <- st.jf_evals + 1;
-        st.jf_eval_cost <- st.jf_eval_cost + Jumpfn.cost jf;
-        if Obs.on () then begin
-          Metrics.incr (m ".jf_evals");
-          Metrics.incr (m ".jf_evals." ^ Jumpfn.kind_tag jf);
-          Metrics.add (m ".jf_eval_cost") (Jumpfn.cost jf)
-        end
-      in
-      (* one component: local fixpoint, then deferred out-contributions.
-         Touches only the VAL tables of its own members, so same-level
-         tasks are disjoint. *)
-      let solve_comp c =
-        let members = comps.(c) in
-        let in_comp =
-          match members with
-          | [ only ] -> fun q -> String.equal q only
-          | _ ->
-              let set = SS.of_list members in
-              fun q -> SS.mem q set
-        in
-        let st = { pops = 0; jf_evals = 0; jf_eval_cost = 0; lowerings = 0 } in
-        let d_top = ref 0 and d_const = ref 0 and d_other = ref 0 in
-        let bump_local v d =
-          match class_of v with
-          | `Top -> d_top := !d_top + d
-          | `Const -> d_const := !d_const + d
-          | `Other -> d_other := !d_other + d
-        in
-        let wl = fifo_worklist () in
-        List.iter (fun p -> ignore (wl.push p)) members;
-        let rec go () =
-          match wl.pop () with
-          | None -> ()
-          | Some p ->
-              st.pops <- st.pops + 1;
-              if Obs.on () then Metrics.incr (m ".pops");
-              let env = env_of (Hashtbl.find vals p) in
-              List.iter
-                (fun (sj : Jumpfn.site_jfs) ->
-                  let q = sj.Jumpfn.sj_site.Ipcp_ir.Instr.callee in
-                  if in_comp q then begin
-                    let qtbl = Hashtbl.find vals q in
-                    let lowered = ref false in
-                    List.iter
-                      (fun ((param : Jumpfn.param), jf) ->
-                        count_eval st jf;
-                        let v = JEval.eval jf env in
-                        let name = param.Jumpfn.p_name in
-                        let cur =
-                          match Hashtbl.find_opt qtbl name with
-                          | Some c -> c
-                          | None -> D.top
-                        in
-                        let nv = D.meet cur v in
-                        Metrics.incr (m ".meets");
-                        if not (D.equal nv cur) then begin
-                          bump_local cur (-1);
-                          bump_local nv 1;
-                          Hashtbl.replace qtbl name nv;
-                          st.lowerings <- st.lowerings + 1;
-                          lowered := true;
-                          if Obs.on () then begin
-                            Metrics.incr (m ".lowerings");
-                            match (class_of cur, class_of nv) with
-                            | `Top, `Const ->
-                                Metrics.incr (m ".trans.top_const")
-                            | `Top, `Other ->
-                                Metrics.incr (m ".trans.top_bottom")
-                            | `Const, `Other ->
-                                Metrics.incr (m ".trans.const_bottom")
-                            | _ -> Metrics.incr (m ".trans.other")
-                          end
-                        end)
-                      sj.Jumpfn.jfs;
-                    if !lowered then ignore (wl.push q)
-                  end)
-                (sites_of p);
-              go ()
-        in
-        go ();
-        (* deferred cross-component contributions, at the local fixpoint *)
-        let out = ref [] in
-        List.iter
-          (fun p ->
-            let env = env_of (Hashtbl.find vals p) in
-            List.iter
-              (fun (sj : Jumpfn.site_jfs) ->
-                let q = sj.Jumpfn.sj_site.Ipcp_ir.Instr.callee in
-                if not (in_comp q) then
-                  List.iter
-                    (fun ((param : Jumpfn.param), jf) ->
-                      count_eval st jf;
-                      out := (q, param.Jumpfn.p_name, JEval.eval jf env) :: !out)
-                    sj.Jumpfn.jfs)
-              (sites_of p))
-          members;
-        (st, (!d_top, !d_const, !d_other), List.rev !out)
-      in
-      for l = 0 to max_level do
-        let cs = Array.of_list by_level.(l) in
-        let costs = Array.map comp_cost cs in
-        let results =
-          Pool.map_array ~jobs ~costs ~seq_below:Pool.default_seq_cost
-            solve_comp cs
-        in
-        (* canonical join: fold statistics and apply the deferred
-           contributions in ascending component order *)
-        Array.iter
-          (fun (st, (dt, dc, dother), outs) ->
-            stats.pops <- stats.pops + st.pops;
-            stats.jf_evals <- stats.jf_evals + st.jf_evals;
-            stats.jf_eval_cost <- stats.jf_eval_cost + st.jf_eval_cost;
-            stats.lowerings <- stats.lowerings + st.lowerings;
-            n_top := !n_top + dt;
-            n_const := !n_const + dc;
-            n_bottom := !n_bottom + dother;
-            List.iter
-              (fun (q, name, v) ->
-                let qtbl = Hashtbl.find vals q in
-                let cur =
-                  match Hashtbl.find_opt qtbl name with
-                  | Some c -> c
-                  | None -> D.top
-                in
-                let nv = D.meet cur v in
-                Metrics.incr (m ".meets");
-                if not (D.equal nv cur) then begin
-                  bump cur (-1);
-                  bump nv 1;
-                  Hashtbl.replace qtbl name nv;
-                  stats.lowerings <- stats.lowerings + 1;
+                (fun ((param : Jumpfn.param), jf) ->
+                  stats.jf_evals <- stats.jf_evals + 1;
+                  stats.jf_eval_cost <- stats.jf_eval_cost + Jumpfn.cost jf;
                   if Obs.on () then begin
-                    Metrics.incr (m ".lowerings");
-                    match (class_of cur, class_of nv) with
-                    | `Top, `Const -> Metrics.incr (m ".trans.top_const")
-                    | `Top, `Other -> Metrics.incr (m ".trans.top_bottom")
-                    | `Const, `Other ->
-                        Metrics.incr (m ".trans.const_bottom")
-                    | _ -> Metrics.incr (m ".trans.other")
-                  end
-                end)
-              outs)
-          results;
-        if Obs.on () && metrics_ns = "solver" then
-          Metrics.converge ~worklist:0 ~top:!n_top ~const:!n_const
-            ~bottom:!n_bottom
-      done
-    in
-    let solve_sequential () =
-      let wl =
-        match strategy with
-        | Fifo -> fifo_worklist ()
-        | Scc_order -> priority_worklist (Scc.top_down_ranks (Lazy.force scc_lazy))
-      in
-      let enqueue p = if wl.push p then Metrics.incr (m ".pushes") in
-      (* per-entry lowering counts, for the widening switch; a finite-height
-         domain never needs them *)
-      let lower_counts : (string * string, int) Hashtbl.t =
-        Hashtbl.create (if D.finite_height then 1 else 64)
-      in
-      List.iter enqueue cg.Callgraph.procs;
-      let rec iterate () =
-        match wl.pop () with
-        | None -> ()
-        | Some p ->
-            stats.pops <- stats.pops + 1;
-            if Obs.on () then begin
-              Metrics.incr (m ".pops");
-              (* the convergence log is a single unlabelled sequence; only
-                 the primary (constant) solve feeds it *)
-              if metrics_ns = "solver" then
-                Metrics.converge ~worklist:(wl.size ()) ~top:!n_top
-                  ~const:!n_const ~bottom:!n_bottom
-            end;
-            env_tbl := Hashtbl.find vals p;
-            List.iter
-              (fun (sj : Jumpfn.site_jfs) ->
-                let q = sj.Jumpfn.sj_site.Ipcp_ir.Instr.callee in
-                let qtbl = Hashtbl.find vals q in
-                let lowered = ref false in
-                List.iter
-                  (fun ((param : Jumpfn.param), jf) ->
-                    stats.jf_evals <- stats.jf_evals + 1;
-                    stats.jf_eval_cost <- stats.jf_eval_cost + Jumpfn.cost jf;
-                    if Obs.on () then begin
-                      Metrics.incr (m ".jf_evals");
-                      Metrics.incr (m ".jf_evals." ^ Jumpfn.kind_tag jf);
-                      Metrics.add (m ".jf_eval_cost") (Jumpfn.cost jf)
-                    end;
-                    let v = JEval.eval jf env in
-                    let name = param.Jumpfn.p_name in
-                    let cur =
-                      match Hashtbl.find_opt qtbl name with
-                      | Some c -> c
-                      | None -> D.top
-                    in
-                    let nv = D.meet cur v in
-                    Metrics.incr (m ".meets");
-                    if not (D.equal nv cur) then begin
-                      let widened = ref false in
-                      let nv =
-                        if D.finite_height then nv
-                        else begin
-                          (* an entry that keeps lowering is on an infinite
-                             descending chain: jump it past the thresholds *)
-                          let key = (q, name) in
-                          let c =
-                            1
-                            + Option.value ~default:0
-                                (Hashtbl.find_opt lower_counts key)
-                          in
-                          Hashtbl.replace lower_counts key c;
-                          if c > widen_after then begin
-                            if Obs.on () then Metrics.incr (m ".widenings");
-                            widened := true;
-                            D.widen cur nv
-                          end
-                          else nv
+                    Metrics.incr (m ".jf_evals");
+                    Metrics.incr (m ".jf_evals." ^ Jumpfn.kind_tag jf);
+                    Metrics.add (m ".jf_eval_cost") (Jumpfn.cost jf)
+                  end;
+                  let v = JEval.eval jf env in
+                  let name = param.Jumpfn.p_name in
+                  let cur =
+                    match Hashtbl.find_opt qtbl name with
+                    | Some c -> c
+                    | None -> D.top
+                  in
+                  let nv = D.meet cur v in
+                  Metrics.incr (m ".meets");
+                  if not (D.equal nv cur) then begin
+                    let widened = ref false in
+                    let nv =
+                      if D.finite_height then nv
+                      else begin
+                        (* an entry that keeps lowering is on an infinite
+                           descending chain: jump it past the thresholds *)
+                        let key = (q, name) in
+                        let c =
+                          1
+                          + Option.value ~default:0
+                              (Hashtbl.find_opt lower_counts key)
+                        in
+                        Hashtbl.replace lower_counts key c;
+                        if c > widen_after then begin
+                          if Obs.on () then Metrics.incr (m ".widenings");
+                          widened := true;
+                          D.widen cur nv
                         end
-                      in
-                      bump cur (-1);
-                      bump nv 1;
-                      Hashtbl.replace qtbl name nv;
-                      stats.lowerings <- stats.lowerings + 1;
-                      lowered := true;
-                      (match prov with
-                      | None -> ()
-                      | Some pr ->
-                          let site = sj.Jumpfn.sj_site in
-                          let support =
-                            SS.elements (Jumpfn.support jf)
-                            |> List.map (fun x -> (x, pretty (env x)))
-                          in
-                          Provenance.record pr ~proc:q ~param:name
-                            ~kind:
-                              (Provenance.Call
-                                 {
-                                   caller = p;
-                                   site_id = site.Instr.site_id;
-                                   loc = Fmt.str "%a" Loc.pp site.Instr.s_loc;
-                                   jf_kind = Jumpfn.kind_tag jf;
-                                   jf = Fmt.str "%a" Jumpfn.pp jf;
-                                   support;
-                                   widened = !widened;
-                                 })
-                            ~before:(pretty cur) ~contrib:(pretty v)
-                            ~after:(pretty nv));
-                      if Obs.on () then begin
-                        Metrics.incr (m ".lowerings");
-                        match (class_of cur, class_of nv) with
-                        | `Top, `Const -> Metrics.incr (m ".trans.top_const")
-                        | `Top, `Other -> Metrics.incr (m ".trans.top_bottom")
-                        | `Const, `Other ->
-                            Metrics.incr (m ".trans.const_bottom")
-                        | _ -> Metrics.incr (m ".trans.other")
+                        else nv
                       end
-                    end)
-                  sj.Jumpfn.jfs;
-                if !lowered then enqueue q)
-              (Option.value ~default:[] (SM.find_opt p jfs));
-            iterate ()
-      in
-      iterate ()
+                    in
+                    bump cur (-1);
+                    bump nv 1;
+                    Hashtbl.replace qtbl name nv;
+                    stats.lowerings <- stats.lowerings + 1;
+                    lowered := true;
+                    (match prov with
+                    | None -> ()
+                    | Some pr ->
+                        let site = sj.Jumpfn.sj_site in
+                        let support =
+                          SS.elements (Jumpfn.support jf)
+                          |> List.map (fun x -> (x, pretty (env x)))
+                        in
+                        Provenance.record pr ~proc:q ~param:name
+                          ~kind:
+                            (Provenance.Call
+                               {
+                                 caller = p;
+                                 site_id = site.Instr.site_id;
+                                 loc = Fmt.str "%a" Loc.pp site.Instr.s_loc;
+                                 jf_kind = Jumpfn.kind_tag jf;
+                                 jf = Fmt.str "%a" Jumpfn.pp jf;
+                                 support;
+                                 widened = !widened;
+                               })
+                          ~before:(pretty cur) ~contrib:(pretty v)
+                          ~after:(pretty nv));
+                    if Obs.on () then begin
+                      Metrics.incr (m ".lowerings");
+                      match (class_of cur, class_of nv) with
+                      | `Top, `Const -> Metrics.incr (m ".trans.top_const")
+                      | `Top, `Other -> Metrics.incr (m ".trans.top_bottom")
+                      | `Const, `Other ->
+                          Metrics.incr (m ".trans.const_bottom")
+                      | _ -> Metrics.incr (m ".trans.other")
+                    end
+                  end)
+                sj.Jumpfn.jfs;
+              if !lowered then enqueue q)
+            (Option.value ~default:[] (SM.find_opt p jfs));
+          iterate ()
     in
-    (* the wavefront pays only with real lanes, and only where it is
-       provably equivalent: finite height (no order-dependent widening)
-       and no provenance recording (the "last lowering" edge is
-       schedule-dependent) *)
-    let wavefront =
-      jobs > 1 && strategy = Scc_order && D.finite_height
-      && Option.is_none prov
-      && Pool.effective_lanes jobs > 1
-    in
-    if wavefront then solve_wavefront (Lazy.force scc_lazy)
-    else solve_sequential ();
+    iterate ();
     (* one narrowing pass for widened domains: re-evaluate every entry
        from scratch at the widened fixpoint; [D.narrow] keeps the borders
        the fixpoint earned and recovers the ones the widening pushed to

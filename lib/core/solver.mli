@@ -5,15 +5,14 @@
     fixpoint.
 
     The solver is a functor over {!Ipcp_domains.Domain.S}; the top-level
-    entry points are the constant-lattice instance [Make (Clattice)],
-    unchanged in behaviour.  Domains without finite height get per-entry
-    widening after a few lowerings and one narrowing pass after
-    convergence.
+    entry points are the constant-lattice instance [Make (Clattice)].
+    Domains without finite height get per-entry widening after a few
+    lowerings and one narrowing pass after convergence.
 
-    The worklist is by default a priority queue in reverse postorder over
-    the call-graph SCC condensation (callers before callees); the paper's
-    plain FIFO is kept as {!Fifo} for comparison.  Both disciplines reach
-    the same fixpoint. *)
+    The worklist is a priority queue in reverse postorder over the
+    call-graph SCC condensation (callers before callees).  It reaches the
+    fixpoint of the paper's plain FIFO discipline, and it is the one
+    schedule at every [jobs] setting. *)
 
 module Symtab = Ipcp_frontend.Symtab
 module Callgraph = Ipcp_callgraph.Callgraph
@@ -25,10 +24,6 @@ type stats = {
   mutable jf_eval_cost : int;  (** Σ cost(J) over evaluations *)
   mutable lowerings : int;  (** VAL entries lowered (≤ 2 × entries) *)
 }
-
-type strategy = Scc_order | Fifo
-(** Worklist discipline: SCC-condensation priority order (default) or
-    the paper's FIFO. *)
 
 val params_of : Symtab.t -> Symtab.proc_sym -> string list
 (** Parameters tracked for a procedure: its scalar formals plus every
@@ -57,7 +52,6 @@ module Make (D : Ipcp_domains.Domain.S) : sig
 
   val solve :
     ?metrics_ns:string ->
-    ?strategy:strategy ->
     ?scc:Scc.t ->
     ?jobs:int ->
     symtab:Symtab.t ->
@@ -66,24 +60,15 @@ module Make (D : Ipcp_domains.Domain.S) : sig
     unit ->
     t
   (** [?scc] lets the caller reuse an already-computed condensation for
-      the {!Scc_order} ranks; it is computed on demand otherwise.
+      the worklist ranks; it is computed on demand otherwise.
       [?metrics_ns] (default ["solver"]) prefixes the telemetry counter
       names so concurrent instances stay distinguishable; only the
       default namespace feeds the convergence log.
 
-      [?jobs] (default 1) enables parallel solving of independent SCCs:
-      the condensation is layered into topological wavefronts and the
-      components of one level are solved concurrently, with
-      cross-component contributions applied by the coordinator in
-      canonical component order.  Monotone evaluation over a
-      finite-height domain makes the fixpoint {e identical} to the
-      sequential one — only {!stats} iteration counts (pops,
-      evaluations) may differ.  The parallel path is taken only when it
-      is provably equivalent and can pay: [jobs > 1] with more than one
-      effective lane (see {!Ipcp_par.Pool.effective_lanes}), the
-      {!Scc_order} strategy, a finite-height domain (widening is
-      iteration-order-dependent), and provenance recording off (the
-      recorded lowering edges are schedule-dependent). *)
+      [?jobs] is accepted and ignored: the solve is sequential at every
+      [jobs] setting, so its statistics and convergence log do not depend
+      on the core count.  The parameter remains for callers written
+      against the parallel solver this one replaced. *)
 
   val constants : t -> string -> int Ipcp_frontend.Names.SM.t
   (** CONSTANTS(p): the (name, value) pairs known constant on entry. *)
@@ -93,36 +78,6 @@ module Make (D : Ipcp_domains.Domain.S) : sig
   val pp : t Fmt.t
 end
 
-(** {2 The constant-lattice instance (historical interface)} *)
+(** {2 The constant-lattice instance} *)
 
-type t = {
-  vals : Clattice.t Ipcp_frontend.Names.SM.t Ipcp_frontend.Names.SM.t;
-      (** procedure -> parameter -> value *)
-  stats : stats;
-  prov : Provenance.t option;
-      (** derivation edges, recorded only when {!Provenance.on} held at
-          the start of the solve (see {!Provenance}) *)
-}
-
-val main_seed : Symtab.t -> Clattice.t Ipcp_frontend.Names.SM.t
-(** The main program's entry values: DATA-initialised globals are
-    constants, everything else ⊥. *)
-
-val solve :
-  ?metrics_ns:string ->
-  ?strategy:strategy ->
-  ?scc:Scc.t ->
-  ?jobs:int ->
-  symtab:Symtab.t ->
-  cg:Callgraph.t ->
-  jfs:Jumpfn.site_jfs list Ipcp_frontend.Names.SM.t ->
-  unit ->
-  t
-(** [Make (Clattice)]'s [solve]. *)
-
-val constants : t -> string -> int Ipcp_frontend.Names.SM.t
-(** CONSTANTS(p): the (name, value) pairs known constant on entry. *)
-
-val val_of : t -> string -> string -> Clattice.t
-
-val pp : t Fmt.t
+include module type of Make (Ipcp_domains.Clattice)

@@ -465,7 +465,7 @@ let warm ~(config : Config.t) ~(prev : snapshot option) ~cold_reason
     else begin
       count1 "incr.fixpoint.miss";
       Trace.span "stage3:propagate" (fun () ->
-          Solver.solve ~scc ~jobs ~symtab ~cg ~jfs ())
+          Solver.solve ~scc ~symtab ~cg ~jfs ())
     end
   in
   let driver =

@@ -19,8 +19,9 @@
     OCaml runtime version are both part of validity: either changing
     reads as [Stale], again forcing a cold run rather than a crash. *)
 
-(** Bump whenever the marshalled snapshot layout changes. *)
-let format_version = 2
+(** Bump whenever the marshalled snapshot layout changes, or when a
+    snapshot's replayed statistics would differ from a fresh run's. *)
+let format_version = 3
 
 let magic = "IPCP-CACHE"
 

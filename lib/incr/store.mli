@@ -4,8 +4,9 @@
     [Corrupt] (→ cold run), never as a crash in the unmarshaller. *)
 
 val format_version : int
-(** Bumped whenever the snapshot layout changes; a mismatch reads as
-    [Stale]. *)
+(** Bumped whenever the snapshot layout changes, or a snapshot's
+    replayed statistics would differ from a fresh run's; a mismatch reads
+    as [Stale]. *)
 
 type load_error =
   | Missing  (** no entry for this key *)

@@ -220,8 +220,11 @@ and call_proc st frame callee args ~want_result : int =
   in
   let cframe = { bindings; psym = cpsym } in
   record_entry st cframe;
+  let at = st.at in
   (try exec_body st cframe cpsym.Symtab.proc.Ast.body
    with Return_exc -> ());
+  (* the rest of the calling statement faults at the caller's line *)
+  st.at <- at;
   if want_result then
     read_cell st (scalar_cell cframe st callee)
   else 0
@@ -288,8 +291,12 @@ and exec_stmt st frame (s : Ast.stmt) =
         exec_body st frame body;
         c.v <- Some (read_cell st c + s)
       done
-  | Ast.While (c, body, _) ->
-      while eval_cond st frame c do
+  | Ast.While (c, body, at) ->
+      (* the condition faults at the WHILE, not at the body's last line *)
+      while
+        st.at <- at;
+        eval_cond st frame c
+      do
         tick st;
         exec_body st frame body
       done

@@ -133,6 +133,23 @@ let snapshot () : (string * int) list =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) (registry ()).counters []
   |> List.sort compare
 
+(* Counters that depend on the environment rather than the input: wall
+   times, allocation volumes, the incremental engine's own bookkeeping,
+   and the pool/per-procedure profiling families (histogram buckets and
+   timers follow the scheduler and the clock).  Everything else is a
+   pure function of (source, config), which is what makes a replayed
+   warm run print the same statistics as the cold run that produced it. *)
+let deterministic counters =
+  List.filter
+    (fun (k, _) ->
+      not
+        (String.starts_with ~prefix:"time_ns/" k
+        || String.starts_with ~prefix:"gc." k
+        || String.starts_with ~prefix:"incr." k
+        || String.starts_with ~prefix:"pool." k
+        || String.starts_with ~prefix:"proc_ns." k))
+    counters
+
 (* ------------------------------------------------------------------ *)
 (* Worker-domain hand-off *)
 

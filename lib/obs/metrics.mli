@@ -37,6 +37,12 @@ val get : string -> int
 val snapshot : unit -> (string * int) list
 (** All counters of the calling domain, sorted by name. *)
 
+val deterministic : (string * int) list -> (string * int) list
+(** The counters that are a pure function of the analysed source and
+    configuration: drops wall times, allocation volumes, the incremental
+    engine's bookkeeping, and the pool and per-procedure profiles, which
+    follow the clock and the scheduler. *)
+
 val drain : unit -> (string * int) list
 (** Take the calling domain's non-zero counters and clear its whole
     registry (convergence log included).  Used by the domain pool on

@@ -160,22 +160,17 @@ let vals_equal = SM.equal (SM.equal C.equal)
 let const_identity_tests =
   [
     Alcotest.test_case
-      "suite: fresh Const instance matches the pipeline fixpoint (both \
-       disciplines)" `Quick (fun () ->
+      "suite: fresh Const instance matches the pipeline fixpoint" `Quick
+      (fun () ->
         List.iter
           (fun (p : Programs.program) ->
             let _, t = analyze p.Programs.source in
-            let vals = t.Driver.solver.Solver.vals in
-            List.iter
-              (fun strategy ->
-                let s2 =
-                  CS.solve ~metrics_ns:"test.solver" ~strategy
-                    ~symtab:t.Driver.symtab ~cg:t.Driver.cg ~jfs:t.Driver.jfs
-                    ()
-                in
-                if not (vals_equal vals s2.CS.vals) then
-                  Alcotest.failf "%s: VAL sets differ" p.Programs.name)
-              [ Solver.Scc_order; Solver.Fifo ])
+            let s2 =
+              CS.solve ~metrics_ns:"test.solver" ~symtab:t.Driver.symtab
+                ~cg:t.Driver.cg ~jfs:t.Driver.jfs ()
+            in
+            if not (vals_equal t.Driver.solver.Solver.vals s2.CS.vals) then
+              Alcotest.failf "%s: VAL sets differ" p.Programs.name)
           Programs.all);
   ]
 

@@ -14,6 +14,14 @@ let check_output name src expected =
       | s -> Alcotest.failf "unexpected status %a" Interp.pp_status s);
       Alcotest.(check (list int)) "output" expected r.Interp.output)
 
+(* a fault names the statement whose evaluation raised it, line and
+   column *)
+let check_fault name src expected =
+  Alcotest.test_case name `Quick (fun () ->
+      match (run src).Interp.status with
+      | Interp.Fault m -> Alcotest.(check string) "fault" expected m
+      | s -> Alcotest.failf "expected a fault, got %a" Interp.pp_status s)
+
 let tests =
   [
     check_output "arithmetic and precedence"
@@ -228,6 +236,32 @@ END
         match r.Interp.status with
         | Interp.Fault _ -> Alcotest.(check (list int)) "no output" [] r.Interp.output
         | s -> Alcotest.failf "expected fault, got %a" Interp.pp_status s);
+    check_fault "a WHILE condition faults at the WHILE"
+      {|PROGRAM p
+  INTEGER z
+  z = 1
+  WHILE (10 / z .GT. 0)
+    PRINT *, z
+    z = 0
+  ENDWHILE
+END
+|}
+      "<interp>:4:3: division by zero";
+    check_fault "an expression faults at its line after a call returns"
+      {|PROGRAM p
+  INTEGER r, z
+  z = 0
+  r = f(z) + 10 / z
+  PRINT *, r
+END
+INTEGER FUNCTION f(a)
+  INTEGER a
+  INTEGER t
+  t = a
+  f = t + 1
+END
+|}
+      "<interp>:4:3: division by zero";
     Alcotest.test_case "subscript out of bounds faults" `Quick (fun () ->
         let r = run "PROGRAM p\nINTEGER v(3)\nv(4) = 1\nEND\n" in
         match r.Interp.status with

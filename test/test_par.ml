@@ -1,15 +1,10 @@
-(* The multicore pipeline's two contracts:
-
-   1. DETERMINISM — analysis results with [jobs = N] are identical to the
-      sequential path ([jobs = 1]): the solver fixpoint, the census, the
-      lint diagnostics, and the substituted source, on every bundled
-      suite program and on randomly generated ones.  The pool makes this
-      true by construction (per-task result slots, canonical-order
-      joins), and these tests keep it true.
-
-   2. SCHEDULING — the SCC-condensation priority worklist reaches the
-      same fixpoint as the paper's FIFO discipline (chaotic iteration of
-      monotone functions), and never needs more pops to get there. *)
+(* The multicore pipeline's contract: analysis results with [jobs = N]
+   are identical to the sequential path ([jobs = 1]) — the solver
+   fixpoint, the census, the lint diagnostics, the substituted source,
+   and the deterministic telemetry (counters and convergence log) — on
+   every bundled suite program and on randomly generated ones.  The pool
+   makes this true by construction (per-task result slots,
+   canonical-order joins), and these tests keep it true. *)
 
 open Ipcp_frontend
 module Pool = Ipcp_par.Pool
@@ -321,83 +316,85 @@ let site_numbering_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The parallel SCC wavefront (jobs > 1, finite-height domain) must
-   reach the sequential solver's exact fixpoint — deferred
-   cross-component contributions are a schedule, not a semantics. *)
+(* Telemetry parity: a run's deterministic counters and convergence log
+   are a function of the program, not of the lane count.  The programs
+   are large enough that every pool stage dispatches (total cost above
+   [Pool.default_seq_cost]), on oversubscribed lanes so they run
+   concurrently even on a 1-core host.  Tabulation gets a smaller input
+   of its own: it costs far more per procedure. *)
 
-let wavefront_tests =
-  [
-    Alcotest.test_case "wavefront (jobs=8) = sequential fixpoint" `Quick
-      (fun () ->
-        with_lanes @@ fun () ->
-        let check_src name src =
-          let _, t =
-            Driver.analyze_source ~config:(cfg_jobs 1) ~file:name src
-          in
-          let solve jobs =
-            Solver.solve ~jobs ~symtab:t.Driver.symtab ~cg:t.Driver.cg
-              ~jfs:t.Driver.jfs ()
-          in
-          Alcotest.(check bool)
-            (name ^ ": fixpoints agree") true
-            (vals_equal (solve 1).Solver.vals (solve 8).Solver.vals)
-        in
-        List.iter
-          (fun (p : Programs.program) ->
-            check_src p.Programs.name p.Programs.source)
-          Programs.all;
-        List.iter
-          (fun shape ->
-            check_src
-              (Generator.shape_name shape)
-              (Generator.generate
-                 ~params:(Generator.scaled ~shape ~n_procs:60 ())
-                 ()))
-          shapes);
-  ]
+module Ipcp = Ipcp_api.Ipcp
+module Obs = Ipcp_obs.Obs
+module Metrics = Ipcp_obs.Metrics
 
-(* ------------------------------------------------------------------ *)
-(* Worklist scheduling *)
+(* the deterministic counters of [f ()], and whether it dispatched a
+   pool batch *)
+let window f =
+  Metrics.reset ();
+  ignore (f ());
+  ( Metrics.deterministic (Metrics.snapshot ()),
+    Metrics.get "pool.batches" > 0 )
 
-let solve_with strategy (t : Driver.t) =
-  Solver.solve ~strategy ~symtab:t.Driver.symtab ~cg:t.Driver.cg
-    ~jfs:t.Driver.jfs ()
+let analyze_gen jobs ~shape ~n_procs =
+  let src =
+    Generator.generate ~params:(Generator.scaled ~shape ~n_procs ()) ()
+  in
+  match
+    Ipcp.analyze ~config:(cfg_jobs jobs)
+      (Ipcp.Source.of_string ~file:"<gen>" src)
+  with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
 
-let scheduling_tests =
+let parity_tests =
   [
     Alcotest.test_case
-      "SCC priority order: same fixpoint as FIFO, never more pops" `Quick
-      (fun () ->
-        List.iter
-          (fun (p : Programs.program) ->
-            let _, t =
-              Driver.analyze_source ~config:(cfg_jobs 1)
-                ~file:p.Programs.name p.Programs.source
-            in
-            let scc = solve_with Solver.Scc_order t in
-            let fifo = solve_with Solver.Fifo t in
-            let name = p.Programs.name in
-            Alcotest.(check bool)
-              (name ^ ": fixpoints agree") true
-              (vals_equal scc.Solver.vals fifo.Solver.vals);
-            let sp = scc.Solver.stats.Solver.pops in
-            let fp = fifo.Solver.stats.Solver.pops in
-            if sp > fp then
-              Alcotest.failf "%s: SCC order used more pops (%d > %d)" name sp
-                fp)
-          Programs.all);
-    Alcotest.test_case "driver's solver uses the SCC order" `Quick (fun () ->
-        (* the pipeline result must equal a fresh solve under either
-           discipline — the strategy is a schedule, not a semantics *)
-        let p = List.hd Programs.all in
-        let _, t =
-          Driver.analyze_source ~config:(cfg_jobs 1) ~file:p.Programs.name
-            p.Programs.source
+      "jobs=4 oversubscribed telemetry identical to jobs=1" `Quick (fun () ->
+        Obs.set_enabled true;
+        Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+        with_lanes @@ fun () ->
+        let same what (c1, _) (c4, dispatched) =
+          if not dispatched then
+            Alcotest.failf "%s: no pool batch at jobs=4" what;
+          let keys = List.sort_uniq compare (List.map fst (c1 @ c4)) in
+          let value c k =
+            Option.fold ~none:"-" ~some:string_of_int (List.assoc_opt k c)
+          in
+          match List.filter (fun k -> value c1 k <> value c4 k) keys with
+          | [] -> ()
+          | ks ->
+              Alcotest.failf "%s differ (jobs=1 vs jobs=4): %s" what
+                (String.concat ", "
+                   (List.map
+                      (fun k -> Fmt.str "%s %s/%s" k (value c1 k) (value c4 k))
+                      ks))
         in
-        let fifo = solve_with Solver.Fifo t in
-        Alcotest.(check bool)
-          "pipeline fixpoint = FIFO fixpoint" true
-          (vals_equal t.Driver.solver.Solver.vals fifo.Solver.vals));
+        List.iter
+          (fun shape ->
+            let name = Generator.shape_name shape in
+            let run jobs =
+              let r = analyze_gen jobs ~shape ~n_procs:120 in
+              let analyze =
+                (Ipcp.Result.stats r, Metrics.get "pool.batches" > 0)
+              in
+              (r, analyze, window (fun () -> Ipcp.Result.ranges r))
+            in
+            let r1, a1, g1 = run 1 and r4, a4, g4 = run 4 in
+            same (name ^ ": analyze counters") a1 a4;
+            Alcotest.(check int)
+              (name ^ ": convergence rows")
+              (List.length (Ipcp.Result.convergence r1))
+              (List.length (Ipcp.Result.convergence r4));
+            Alcotest.(check bool)
+              (name ^ ": convergence log") true
+              (Ipcp.Result.convergence r1 = Ipcp.Result.convergence r4);
+            same (name ^ ": ranges counters") g1 g4)
+          Generator.[ Mixed; Cyclic ];
+        let tabulate jobs =
+          let r = analyze_gen jobs ~shape:Generator.Cyclic ~n_procs:8 in
+          window (fun () -> Ipcp.Domains.run_contexts ~warm:false "const" r)
+        in
+        same "const tabulation counters" (tabulate 1) (tabulate 4));
   ]
 
 let suites =
@@ -407,6 +404,5 @@ let suites =
     ("par-determinism", determinism_tests);
     ("par-gen-determinism", gen_determinism_tests);
     ("par-sites", site_numbering_tests);
-    ("par-wavefront", wavefront_tests);
-    ("par-scheduling", scheduling_tests);
+    ("par-telemetry", parity_tests);
   ]

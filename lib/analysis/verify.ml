@@ -374,6 +374,13 @@ let check_lowered ?symtab cfg = check_cfg ?symtab ~ssa:false cfg
 
 let check_ssa ?symtab cfg = check_cfg ?symtab ~ssa:true cfg
 
+(** Check one freshly lowered procedure: the lowered-form checks, then,
+    if they pass, SSA conversion and the SSA-form checks. *)
+let check_proc ~symtab cfg =
+  match check_lowered ~symtab cfg with
+  | _ :: _ as low -> low
+  | [] -> check_ssa ~symtab (Ssa.convert cfg)
+
 (** Lower and SSA-convert a complete source text, collecting violations
     from both stages — the hook source-to-source passes use to prove they
     produced a well-formed program.  Raises {!Diag.Error} if the text no
@@ -383,11 +390,7 @@ let check_ssa ?symtab cfg = check_cfg ?symtab ~ssa:true cfg
 let check_source ?(jobs = 1) ~file (src : string) : violation list =
   let symtab = Sema.parse_and_analyze ~file src in
   let cfgs = Lower.lower_program symtab in
-  let check _ cfg =
-    match check_lowered ~symtab cfg with
-    | _ :: _ as low -> low
-    | [] -> check_ssa ~symtab (Ssa.convert cfg)
-  in
+  let check _ cfg = check_proc ~symtab cfg in
   let per =
     if jobs <= 1 then SM.mapi check cfgs
     else

@@ -42,6 +42,11 @@ val check_lowered : ?symtab:Symtab.t -> Cfg.t -> violation list
 val check_ssa : ?symtab:Symtab.t -> Cfg.t -> violation list
 (** [check_cfg ~ssa:true]. *)
 
+val check_proc : symtab:Symtab.t -> Cfg.t -> violation list
+(** Check one freshly lowered (pre-SSA) procedure: {!check_lowered},
+    then, if that passes, {!check_ssa} of its SSA conversion.  The
+    per-procedure check of {!check_source}. *)
+
 val check_source : ?jobs:int -> file:string -> string -> violation list
 (** Parse, check, lower and SSA-convert a complete source text,
     collecting violations from both IR stages — the hook source-to-source

@@ -286,6 +286,11 @@ module Session = struct
     Ipcp_obs.Trace.span "frontend:parse" (fun () ->
         Sema.parse_and_analyze ~file:src.Source.file src.Source.text)
 
+  (* the response-cache key and the per-procedure content hashes *)
+  let fingerprint config symtab =
+    Ipcp_obs.Trace.span "session:fingerprint" (fun () ->
+        (Incr.program_key config symtab, Incr.content_fingerprints symtab))
+
   let open_ ?(config = Config.default) ?(cache = Cache.Disabled)
       (src : Source.t) : (t, string) result =
     Diag.guard_s (fun () ->
@@ -305,14 +310,15 @@ module Session = struct
             (c.Cache.r_changed, c.Cache.r_dirty)
           else (n, n)
         in
+        let key, fps = fingerprint config symtab in
         {
           s_config = config;
           s_cache = cache;
           s_source = src;
           s_symtab = symtab;
           s_result = result;
-          s_fingerprint = Incr.program_key config symtab;
-          s_fps = Incr.content_fingerprints symtab;
+          s_fingerprint = key;
+          s_fps = fps;
           s_generation = 1;
           s_dirty =
             {
@@ -334,7 +340,7 @@ module Session = struct
         (* parse/check first: a rejected source leaves the session on its
            previous generation, untouched *)
         let symtab = parse_source src in
-        let fps = Incr.content_fingerprints symtab in
+        let key, fps = fingerprint t.s_config symtab in
         let changed_names =
           List.filter_map
             (fun (name, fp) ->
@@ -365,7 +371,7 @@ module Session = struct
         t.s_source <- src;
         t.s_symtab <- symtab;
         t.s_result <- result;
-        t.s_fingerprint <- Incr.program_key t.s_config symtab;
+        t.s_fingerprint <- key;
         t.s_fps <- fps;
         t.s_generation <- summary.d_generation;
         t.s_dirty <- summary;

@@ -44,22 +44,16 @@ type t = {
 
 (* Parallel lowering.  Call sites are numbered by one counter walking the
    procedures in declaration order; to lower procedures independently we
-   pre-compute each procedure's site-id offset (prefix sums over the
-   AST-level {!Lower.count_sites}) and give every task its own counter
-   starting there — the numbering is exactly the sequential one. *)
+   pre-compute each procedure's site-id offset ({!Lower.site_offsets})
+   and give every task its own counter starting there — the numbering is
+   exactly the sequential one. *)
 let lower_parallel ~jobs (symtab : Symtab.t) : Cfg.t SM.t =
-  let procs =
-    List.rev (Symtab.fold_procs (fun psym acc -> psym :: acc) symtab [])
-  in
+  let procs = List.map (Symtab.proc symtab) symtab.Symtab.order in
   let tasks =
-    let off = ref 0 in
     Array.of_list
-      (List.map
-         (fun (psym : Symtab.proc_sym) ->
-           let o = !off in
-           off := o + Lower.count_sites psym.Symtab.proc;
-           (psym, o))
-         procs)
+      (List.combine procs
+         (Lower.site_offsets
+            (List.map (fun (psym : Symtab.proc_sym) -> psym.Symtab.proc) procs)))
   in
   let costs =
     Array.map (fun ((psym : Symtab.proc_sym), _) ->

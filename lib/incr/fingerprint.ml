@@ -34,9 +34,11 @@ type proc_fp = {
           the same offset *)
 }
 
+let content (p : Ast.proc) : string = Digest.string (Pretty.proc_to_string p)
+
 let proc ~site_offset (p : Ast.proc) : proc_fp =
   {
-    fp_content = Digest.string (Pretty.proc_to_string p);
+    fp_content = content p;
     fp_exact = Digest.string (Marshal.to_string p []);
     fp_site_offset = site_offset;
   }
@@ -72,16 +74,16 @@ let config (c : Config.t) : string =
     hashes, the global table, and the configuration.  Location changes do
     not affect it (the fixpoint does not depend on line numbers). *)
 let program ~(config_key : string) ~(globals_hash : string)
-    (procs : (string * proc_fp) list) : string =
+    (contents : (string * string) list) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf config_key;
   Buffer.add_char buf '\n';
   Buffer.add_string buf globals_hash;
   List.iter
-    (fun (name, fp) ->
+    (fun (name, content) ->
       Buffer.add_char buf '\n';
       Buffer.add_string buf name;
       Buffer.add_char buf '=';
-      Buffer.add_string buf fp.fp_content)
-    procs;
+      Buffer.add_string buf content)
+    contents;
   Digest.string (Buffer.contents buf)

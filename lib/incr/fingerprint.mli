@@ -19,6 +19,10 @@ type proc_fp = {
           numbering *)
 }
 
+val content : Ast.proc -> string
+(** The content tier alone: [fp_content] of {!proc}, without the
+    marshalling and digest of the exact tier. *)
+
 val proc : site_offset:int -> Ast.proc -> proc_fp
 
 val globals : Symtab.t -> string
@@ -30,6 +34,7 @@ val config : Config.t -> string
     excluded (they do not change what is computed). *)
 
 val program :
-  config_key:string -> globals_hash:string -> (string * proc_fp) list -> string
-(** Whole-program content key over the procedures in declaration order;
-    guards the propagation fixpoint and the substitution result. *)
+  config_key:string -> globals_hash:string -> (string * string) list -> string
+(** Whole-program content key over the procedures' content digests
+    ({!content}), in declaration order; guards the propagation fixpoint
+    and the substitution result. *)

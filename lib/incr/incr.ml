@@ -197,26 +197,26 @@ let vals_equal = SM.equal (SM.equal Clattice.equal)
 (** Fingerprint every procedure, in declaration order, with the
     program-wide call-site-id prefix sums. *)
 let fingerprints (symtab : Symtab.t) : (string * Fingerprint.proc_fp) list =
-  let off = ref 0 in
-  List.map
-    (fun name ->
-      let psym = Symtab.proc symtab name in
-      let o = !off in
-      off := o + Lower.count_sites psym.Symtab.proc;
-      (name, Fingerprint.proc ~site_offset:o psym.Symtab.proc))
-    symtab.Symtab.order
+  let procs =
+    List.map (fun name -> (Symtab.proc symtab name).Symtab.proc)
+      symtab.Symtab.order
+  in
+  List.map2
+    (fun (proc : Ast.proc) off ->
+      (proc.Ast.name, Fingerprint.proc ~site_offset:off proc))
+    procs (Lower.site_offsets procs)
 
 let content_fingerprints symtab =
   List.map
-    (fun (name, fp) -> (name, fp.Fingerprint.fp_content))
-    (fingerprints symtab)
+    (fun name -> (name, Fingerprint.content (Symtab.proc symtab name).Symtab.proc))
+    symtab.Symtab.order
 
 let program_key config symtab =
   Digest.to_hex
     (Fingerprint.program
        ~config_key:(Fingerprint.config config)
        ~globals_hash:(Fingerprint.globals symtab)
-       (fingerprints symtab))
+       (content_fingerprints symtab))
 
 (** The warm pipeline: mirrors {!Driver.analyze} stage for stage, with
     per-procedure reuse decisions.  With no usable snapshot every
@@ -566,7 +566,10 @@ let analyze ?(config = Config.default) ~(policy : policy) ~(key : string)
       let fps = Trace.span "incr:fingerprint" (fun () -> fingerprints symtab) in
       let config_key = Fingerprint.config config in
       let globals_hash = Fingerprint.globals symtab in
-      let program_hash = Fingerprint.program ~config_key ~globals_hash fps in
+      let program_hash =
+        Fingerprint.program ~config_key ~globals_hash
+          (List.map (fun (name, fp) -> (name, fp.Fingerprint.fp_content)) fps)
+      in
       let prev, cold_reason =
         match Trace.span "incr:load" (fun () -> load_snapshot ~dir ~key) with
         | Error reason -> (None, Some reason)

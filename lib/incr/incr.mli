@@ -53,17 +53,22 @@ type outcome = {
           [false] (after printing a warning) if the write failed. *)
 }
 
+val fingerprints : Symtab.t -> (string * Fingerprint.proc_fp) list
+(** Both tiers of every procedure's fingerprint ({!Fingerprint.proc}),
+    in declaration order, at its program-wide call-site offset — what a
+    cache lookup compares against its snapshot. *)
+
 val content_fingerprints : Symtab.t -> (string * string) list
 (** Per-procedure content fingerprints ([fp_content] of
-    {!Fingerprint.proc}), in declaration order — stable across
-    whitespace and across edits to other procedures.  The diff of two
-    programs' fingerprint lists is the changed set of an incremental
-    update. *)
+    {!fingerprints}, computed through {!Fingerprint.content} alone), in
+    declaration order — stable across whitespace and across edits to
+    other procedures.  The diff of two programs' fingerprint lists is the
+    changed set of an incremental update. *)
 
 val program_key : Config.t -> Symtab.t -> string
 (** The whole-program content key that guards fixpoint reuse: the
     {!Fingerprint.program} digest (hex-encoded) over the configuration
-    key, the global table and every procedure's content fingerprint.
+    key, the global table and {!content_fingerprints}.
     Two sources with equal keys produce byte-identical analysis
     results, which is what makes the key usable as a response-cache
     key. *)

@@ -21,7 +21,7 @@
 
 (** Bump whenever the marshalled snapshot layout changes, or when a
     snapshot's replayed statistics would differ from a fresh run's. *)
-let format_version = 3
+let format_version = 4
 
 let magic = "IPCP-CACHE"
 

@@ -15,7 +15,11 @@
     - [DO v = lo, hi [, s]] evaluates [lo] and [hi] once, then behaves as a
       while loop testing [v <= limit] (or [>=] for a negative constant
       step).  The interpreter implements exactly the same semantics.
-    - [RETURN] in the main program behaves like [STOP]. *)
+    - [RETURN] in the main program behaves like [STOP].
+    - An array read without a subscript, or a scalar read with one, is a
+      [Diag.Lower] error.  {!Sema} rejects both in source; lowering
+      checks them again because a source-to-source pass's output is
+      lowered against the original symbol table, without {!Sema}. *)
 
 open Ipcp_frontend
 open Instr
@@ -48,9 +52,12 @@ let rec lower_expr env (e : Ast.expr) : operand =
   match e with
   | Ast.Int (n, _) -> Oint n
   | Ast.Var (x, l) -> (
-      match const_value env x with
-      | Some v -> Oint v
-      | None -> Ovar (x, Some l))
+      (* a whole array is an operand only as an actual ({!lower_call}) *)
+      match Symtab.var env.psym x with
+      | Some { Symtab.kind = Symtab.Const v; _ } -> Oint v
+      | Some vi when Symtab.is_array vi ->
+          err l "array %s used without a subscript" x
+      | _ -> Ovar (x, Some l))
   | _ -> (
       match lower_rhs env e with
       | Rcopy o -> o
@@ -64,7 +71,10 @@ let rec lower_expr env (e : Ast.expr) : operand =
 and lower_rhs env (e : Ast.expr) : rhs =
   match e with
   | Ast.Int _ | Ast.Var _ -> Rcopy (lower_expr env e)
-  | Ast.Index (a, i, _) -> Rload (a, lower_expr env i)
+  | Ast.Index (a, i, l) ->
+      if not (is_array env a) then
+        err l "%s is scalar and cannot be subscripted" a;
+      Rload (a, lower_expr env i)
   | Ast.Unop (op, e, _) -> Runop (op, lower_expr env e)
   | Ast.Binop (op, e1, e2, _) ->
       let o1 = lower_expr env e1 in
@@ -357,6 +367,19 @@ and count_body body = List.fold_left (fun n s -> n + count_stmt s) 0 body
 
 (** Number of call-site ids [lower_proc] will consume for [proc]. *)
 let count_sites (proc : Ast.proc) : int = count_body proc.Ast.body
+
+(** Each procedure's call-site-id offset: the prefix sums of
+    {!count_sites} over [procs], given in declaration order.  Lowering a
+    procedure with [~site_counter:(ref off)] reproduces the numbering of
+    {!lower_program}. *)
+let site_offsets (procs : Ast.proc list) : int list =
+  let off = ref 0 in
+  List.map
+    (fun p ->
+      let o = !off in
+      off := o + count_sites p;
+      o)
+    procs
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic statement counting *)

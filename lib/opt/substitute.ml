@@ -21,6 +21,9 @@ module Instr = Ipcp_ir.Instr
 module Cfg = Ipcp_ir.Cfg
 module Driver = Ipcp_core.Driver
 module Symeval = Ipcp_core.Symeval
+module Lower = Ipcp_ir.Lower
+module Verify = Ipcp_verify.Verify
+module Pool = Ipcp_par.Pool
 
 (** Locations of scalar-variable uses whose value is constant, across the
     whole program. *)
@@ -164,6 +167,41 @@ type result = {
   total : int;
 }
 
+(* The rewrite is checked per procedure, against the analysis's symbol
+   table: a rewrite turns variable uses into literals and leaves every
+   declaration alone.  A procedure the sharing rewriters left physically
+   equal to its input is the already-verified original; every other one
+   is lowered from its declaration-order site offset and checked as
+   {!Verify.check_source} checks a parsed program. *)
+let check_rewrite (t : Driver.t) (program : Ast.program) : unit =
+  let symtab = t.Driver.symtab in
+  let tasks =
+    Array.of_list
+      (List.filter_map
+         (fun ((proc : Ast.proc), off) ->
+           let psym = Symtab.proc symtab proc.Ast.name in
+           if proc == psym.Symtab.proc then None
+           else Some ({ psym with Symtab.proc }, off))
+         (List.combine program (Lower.site_offsets program)))
+  in
+  let costs =
+    Array.map
+      (fun ((psym : Symtab.proc_sym), _) -> Lower.count_stmts psym.Symtab.proc)
+      tasks
+  in
+  let per =
+    Ipcp_obs.Trace.span "substitute:verify" @@ fun () ->
+    Pool.map_array
+      ~jobs:(max 1 t.Driver.config.Ipcp_core.Config.jobs)
+      ~costs ~seq_below:Pool.default_seq_cost
+      (fun (psym, off) ->
+        Verify.check_proc ~symtab
+          (Lower.lower_proc symtab ~site_counter:(ref off) psym))
+      tasks
+  in
+  Verify.expect_ok ~what:"constant substitution"
+    (List.concat (Array.to_list per))
+
 let apply (t : Driver.t) : result =
   Ipcp_obs.Trace.span "pass:substitute" @@ fun () ->
   let subs = constant_uses t in
@@ -195,11 +233,7 @@ let apply (t : Driver.t) : result =
      program is element-wise the already-checked input, so there is
      nothing new to verify *)
   if total > 0 && t.Driver.config.Ipcp_core.Config.verify_ir then
-    Ipcp_verify.Verify.expect_ok ~what:"constant substitution"
-      (Ipcp_verify.Verify.check_source
-         ~jobs:(max 1 t.Driver.config.Ipcp_core.Config.jobs)
-         ~file:"<substitute>"
-         (Pretty.program_to_string program));
+    check_rewrite t program;
   { program; per_proc = !per_proc; total }
 
 (** Just the count (the number every table of the paper reports). *)

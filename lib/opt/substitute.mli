@@ -16,6 +16,16 @@ type result = {
 }
 
 val apply : Driver.t -> result
+(** Rewrite and count.  With [Config.verify_ir] on, the procedures the
+    rewrite changed are checked by {!check_rewrite}. *)
+
+val check_rewrite : Driver.t -> Ipcp_frontend.Ast.program -> unit
+(** Check a rewrite of [t]'s program, in declaration order, procedure by
+    procedure against [t]'s symbol table: each procedure not physically
+    equal to its original is lowered at its program-wide call-site offset
+    and passed through {!Ipcp_verify.Verify.check_proc}.  Raises
+    [Ipcp_frontend.Diag.Error] (a lowering or an analysis error) on a
+    malformed rewrite. *)
 
 val count : Driver.t -> int
 (** [total] of {!apply} — the number every table of the paper reports. *)

@@ -7,6 +7,9 @@ open Ipcp_frontend
 module Config = Ipcp_core.Config
 module Incr = Ipcp_incr.Incr
 module Store = Ipcp_incr.Store
+module Fingerprint = Ipcp_incr.Fingerprint
+module Programs = Ipcp_suite.Programs
+module Generator = Ipcp_gen.Generator
 module Obs = Ipcp_obs.Obs
 module Metrics = Ipcp_obs.Metrics
 module Ipcp = Ipcp_api.Ipcp
@@ -345,28 +348,34 @@ let store_tests =
     Alcotest.test_case "format-version skew reads as stale, run goes cold"
       `Quick
       (fun () ->
-        with_obs @@ fun () ->
-        let dir = fresh_dir () in
-        let cache = Ipcp.Cache.Dir dir in
-        ignore (analyze ~cache (chain_src ()));
-        let path = entry_file dir in
-        let contents = read_file path in
-        let bumped =
-          Astring.String.cuts ~sep:(Fmt.str "IPCP-CACHE %d" Store.format_version)
-            contents
-          |> String.concat "IPCP-CACHE 9999"
-        in
-        write_file path bumped;
-        let warm = analyze ~cache (chain_src ()) in
-        let stale = Metrics.get "incr.cold.stale" in
-        let cold = analyze (chain_src ()) in
-        Alcotest.(check bool)
-          "recovery run equals a from-scratch analysis" true
-          (observable warm = observable cold);
-        Alcotest.(check bool)
-          "cold" true
-          ((report warm).Ipcp.Cache.r_cold <> None);
-        Alcotest.(check int) "counted as stale" 1 stale);
+        (* a future version, and the previous one (whose snapshots
+           replay statistics this version no longer produces) *)
+        List.iter
+          (fun version ->
+            with_obs @@ fun () ->
+            let dir = fresh_dir () in
+            let cache = Ipcp.Cache.Dir dir in
+            ignore (analyze ~cache (chain_src ()));
+            let path = entry_file dir in
+            let contents = read_file path in
+            let bumped =
+              Astring.String.cuts
+                ~sep:(Fmt.str "IPCP-CACHE %d" Store.format_version)
+                contents
+              |> String.concat (Fmt.str "IPCP-CACHE %d" version)
+            in
+            write_file path bumped;
+            let warm = analyze ~cache (chain_src ()) in
+            let stale = Metrics.get "incr.cold.stale" in
+            let cold = analyze (chain_src ()) in
+            Alcotest.(check bool)
+              "recovery run equals a from-scratch analysis" true
+              (observable warm = observable cold);
+            Alcotest.(check bool)
+              "cold" true
+              ((report warm).Ipcp.Cache.r_cold <> None);
+            Alcotest.(check int) "counted as stale" 1 stale)
+          [ 9999; Store.format_version - 1 ]);
     Alcotest.test_case "corrupted payload reads as corrupt, run goes cold"
       `Quick
       (fun () ->
@@ -404,6 +413,41 @@ let store_tests =
         Alcotest.(check int)
           "none left" 0
           (List.length (Ipcp.Cache.entries dir)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Session keys: the content-only fingerprints must equal the content
+   tier of the two-tier fingerprints a cache lookup computes. *)
+
+let fingerprint_tests =
+  [
+    Alcotest.test_case "content-only keys equal the two-tier fingerprints"
+      `Quick (fun () ->
+        let sources =
+          Generator.generate
+            ~params:(Generator.scaled ~shape:Generator.Mixed ~n_procs:60 ())
+            ()
+          :: List.map (fun (p : Programs.program) -> p.Programs.source) Programs.all
+        in
+        List.iter
+          (fun src ->
+            let symtab = Sema.parse_and_analyze ~file:"<fp>" src in
+            let contents =
+              List.map
+                (fun (name, fp) -> (name, fp.Fingerprint.fp_content))
+                (Incr.fingerprints symtab)
+            in
+            Alcotest.(check (list (pair string string)))
+              "content_fingerprints" contents
+              (Incr.content_fingerprints symtab);
+            Alcotest.(check string) "program_key"
+              (Digest.to_hex
+                 (Fingerprint.program
+                    ~config_key:(Fingerprint.config config)
+                    ~globals_hash:(Fingerprint.globals symtab)
+                    contents))
+              (Incr.program_key config symtab))
+          sources);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -450,5 +494,6 @@ let suites =
     ("incr-lifecycle", lifecycle_tests);
     ("incr-invalidation", invalidation_tests);
     ("incr-store", store_tests);
+    ("incr-fingerprints", fingerprint_tests);
     ("incr-qcheck", qcheck_tests);
   ]

@@ -15,6 +15,7 @@ module Cfg = Ipcp_ir.Cfg
 module Ssa = Ipcp_ir.Ssa
 module Verify = Ipcp_verify.Verify
 module Lint = Ipcp_analysis.Lint
+module Substitute = Ipcp_opt.Substitute
 module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
 module Interp = Ipcp_interp.Interp
@@ -194,6 +195,92 @@ END
               (List.map Verify.violation_to_string
                  (Verify.check_ssa ~symtab conv.Ssa.ssa)))
           t.Driver.convs);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The substitution's per-procedure check: broken rewrites of the main
+   program must be rejected by {!Substitute.check_rewrite} and by a
+   re-parse of the printed program alike; a legal one passes both. *)
+
+let src_rewrite =
+  {|
+PROGRAM p
+  INTEGER k, arr(3)
+  k = 3
+  CALL q(arr, k)
+  PRINT *, k
+END
+SUBROUTINE q(a, m)
+  INTEGER a(3), m
+  a(1) = m
+END
+|}
+
+let rewrite_tests =
+  let rewritten f =
+    let symtab, d = analyze src_rewrite in
+    let program =
+      List.map
+        (fun name ->
+          let proc = (Symtab.proc symtab name).Symtab.proc in
+          if name = symtab.Symtab.main then
+            { proc with Ast.body = List.map f proc.Ast.body }
+          else proc)
+        symtab.Symtab.order
+    in
+    (d, program)
+  in
+  let by_check (d, program) =
+    Diag.guard (fun () -> Substitute.check_rewrite d program)
+  in
+  let by_reparse (_, program) =
+    Diag.guard (fun () ->
+        Verify.expect_ok ~what:"re-parse"
+          (Verify.check_source ~file:"<rewrite>"
+             (Pretty.program_to_string program)))
+  in
+  let broken name ~expect f =
+    Alcotest.test_case name `Quick (fun () ->
+        let r = rewritten f in
+        (match by_check r with
+        | Ok () -> Alcotest.fail "per-procedure check accepted it"
+        | Error e ->
+            Alcotest.(check bool)
+              ("check names the fault: " ^ e.Diag.msg)
+              true
+              (Astring.String.is_infix ~affix:expect e.Diag.msg));
+        match by_reparse r with
+        | Ok () -> Alcotest.fail "re-parse of the printed program accepted it"
+        | Error _ -> ())
+  in
+  [
+    broken "whole-array actual replaced by a literal is rejected"
+      ~expect:"is scalar but formal a is an array" (function
+      | Ast.Call (n, [ Ast.Var (_, l); k ], cl) ->
+          Ast.Call (n, [ Ast.Int (7, l); k ], cl)
+      | s -> s);
+    broken "dropped actual is rejected" ~expect:"with 1 argument(s), 2 formal"
+      (function
+      | Ast.Call (n, [ arr; _ ], cl) -> Ast.Call (n, [ arr ], cl)
+      | s -> s);
+    broken "bare array name in a scalar use is rejected"
+      ~expect:"array arr used without a subscript" (function
+      | Ast.Print ([ Ast.Var (_, l) ], pl) ->
+          Ast.Print ([ Ast.Var ("arr", l) ], pl)
+      | s -> s);
+    broken "subscripted scalar is rejected"
+      ~expect:"k is scalar and cannot be subscripted" (function
+      | Ast.Print ([ Ast.Var (k, l) ], pl) ->
+          Ast.Print ([ Ast.Index (k, Ast.Int (1, l), l) ], pl)
+      | s -> s);
+    Alcotest.test_case "legal rewrite passes both checks" `Quick (fun () ->
+        let r =
+          rewritten (function
+            | Ast.Print ([ Ast.Var (_, l) ], pl) -> Ast.Print ([ Ast.Int (3, l) ], pl)
+            | s -> s)
+        in
+        Alcotest.(check bool) "per-procedure check" true (by_check r = Ok ());
+        Alcotest.(check bool) "re-parse" true (by_reparse r = Ok ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -595,6 +682,7 @@ let suite_tests =
 let suites =
   [
     ("verify", verifier_tests);
+    ("verify-rewrite", rewrite_tests);
     ("lint", lint_tests);
     ("lint-differential", differential_tests);
     ("lint-suite", suite_tests);

@@ -11,6 +11,7 @@ module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
 module Substitute = Ipcp_opt.Substitute
 module Programs = Ipcp_suite.Programs
+module Ipcp = Ipcp_api.Ipcp
 
 (* Every test that turns telemetry on runs under this bracket so the
    global switch and registries never leak into unrelated tests. *)
@@ -283,6 +284,43 @@ let test_substitute_counter () =
     r.Substitute.total
     (Metrics.get "substitute.substituted")
 
+(* The (parent, child) name pairs of the main lane's spans. *)
+let main_lane_nesting () =
+  let stack = ref [] and pairs = ref [] in
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.Trace.ev_tid = 1 then
+        match e.Trace.ev_ph with
+        | Trace.B ->
+            (match !stack with
+            | parent :: _ -> pairs := (parent, e.Trace.ev_name) :: !pairs
+            | [] -> pairs := ("", e.Trace.ev_name) :: !pairs);
+            stack := e.Trace.ev_name :: !stack
+        | Trace.E -> stack := List.tl !stack)
+    (Trace.events ());
+  !pairs
+
+let test_substitute_check_span () =
+  with_obs @@ fun () ->
+  let _, d = analyze "linpackd" in
+  let r = Substitute.apply d in
+  Alcotest.(check bool) "the rewrite changed something" true
+    (r.Substitute.total > 0);
+  Alcotest.(check bool) "substitute:verify under pass:substitute" true
+    (List.mem ("pass:substitute", "substitute:verify") (main_lane_nesting ()))
+
+let test_session_fingerprint_span () =
+  with_obs @@ fun () ->
+  let p = List.find (fun p -> p.Programs.name = "adm") Programs.all in
+  (match
+     Ipcp.Session.open_
+       (Ipcp.Source.of_string ~file:p.Programs.name p.Programs.source)
+   with
+  | Ok s -> Ipcp.Session.close s
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "top-level session:fingerprint" true
+    (List.mem ("", "session:fingerprint") (main_lane_nesting ()))
+
 (* ------------------------------------------------------------------ *)
 (* Config.pp renders verify_ir (regression: it used to be dropped) *)
 
@@ -318,6 +356,10 @@ let suites =
           test_jumpfn_census_agrees;
         Alcotest.test_case "substitute counter" `Quick
           test_substitute_counter;
+        Alcotest.test_case "substitution check span" `Quick
+          test_substitute_check_span;
+        Alcotest.test_case "session fingerprint span" `Quick
+          test_session_fingerprint_span;
         Alcotest.test_case "Config.pp renders verify_ir" `Quick
           test_config_pp_verify;
       ] );

@@ -286,8 +286,9 @@ let verifier_clean_prop seed =
         (Verify.check_ssa ~symtab (Ipcp_ir.Ssa.convert cfg)))
     cfgs;
   (* Driver.analyze and Substitute.apply re-run the verifier internally
-     (verify_ir is on in Config.default and raises on violations); going
-     through check_source here also validates the printed output. *)
+     (verify_ir is on in Config.default and raises on violations), the
+     substitution per rewritten procedure; going through check_source
+     here also checks the printer round trip of the rewritten program. *)
   let t = Driver.analyze symtab in
   let sub = Substitute.apply t in
   expect_clean ~seed ~stage:"substitution"

@@ -240,7 +240,7 @@ let print_cloning () =
 (* Figure 1: the lattice *)
 
 let print_figure1 () =
-  let module L = Ipcp_core.Clattice in
+  let module L = Ipcp_domains.Clattice in
   Fmt.pr "@.Figure 1: the constant propagation lattice (meet table)@.";
   let elems = [ L.Top; L.Const 1; L.Const 2; L.Bottom ] in
   Fmt.pr "%8s" "⊓";
@@ -263,7 +263,8 @@ let print_figure1 () =
     what the constant lattice proves; entry-copy counts the extra facts
     only the copy lattice names. *)
 let print_zoo () =
-  let module F = Ipcp_core.Framework in
+  let module R = Ipcp_contexts.Registry in
+  let module Live = Ipcp_dataflow.Live in
   Fmt.pr "@.Analysis zoo: copy lattice vs constant lattice; dead stores@.";
   Fmt.pr "%-11s | %6s %9s %10s | %11s@." "Program" "uses" "constant"
     "entry-copy" "dead stores";
@@ -280,16 +281,17 @@ let print_zoo () =
              ~config:{ Config.default with Config.verify_ir = false }
              symtab
          in
-         let cv = F.copyprop_compute t in
+         let cv = R.copyprop_compute t in
          let nconst = ref 0 and ncopy = ref 0 in
          Loc.Map.iter
            (fun _ v ->
-             match F.copyprop_classify v with
+             match R.copyprop_classify v with
              | `Const -> incr nconst
              | `Copy -> incr ncopy
              | `Unknown | `Unreached -> ())
-           cv.F.CVF.facts;
-         ( Loc.Map.cardinal cv.F.CVF.facts,
-           !nconst,
-           !ncopy,
-           List.length (F.dead_stores t) )))
+           cv.R.CVF.facts;
+         let dead =
+           Live.dead_stores t.Driver.cfgs
+             (Live.all t.Driver.symtab t.Driver.cfgs)
+         in
+         (Loc.Map.cardinal cv.R.CVF.facts, !nconst, !ncopy, List.length dead)))

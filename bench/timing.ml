@@ -185,7 +185,7 @@ let ctx_drivers =
 
 let ctx_suite ~warm () =
   List.iter
-    (fun d -> ignore (Ipcp_contexts.Registry.run_const ~warm d))
+    (fun d -> ignore (Ipcp_contexts.Registry.Const.run ~warm d))
     (Lazy.force ctx_drivers)
 
 let ctx_tests =
@@ -374,7 +374,7 @@ let scaled_rows ~quick () : (string * float) list =
            src1k)
     in
     row' ~samples:2 "ctx:1k-procs" (fun () ->
-        ignore (Ipcp_contexts.Registry.run_const ~warm:false d))
+        ignore (Ipcp_contexts.Registry.Const.run ~warm:false d))
   in
   let base = [ meta; scale_1k; warm_1k; ctx_1k ] in
   if quick then base

@@ -1,6 +1,6 @@
 (** Shared command-line plumbing for the [ipcp] subcommands: file
     loading, the analysis-configuration term, the telemetry options and
-    the cache-policy term. *)
+    the cache-policy term, the output format. *)
 
 open Cmdliner
 module Ipcp = Ipcp_api.Ipcp
@@ -143,6 +143,15 @@ let cache_term ?(default = Ipcp.Cache.Disabled) () =
       | None -> if flag then Ipcp.Cache.Dir Ipcp.Cache.default_dir else default
   in
   Term.(const make $ cache_flag_arg $ cache_dir_arg $ no_cache_arg)
+
+(* ------------------------------------------------------------------ *)
+(* Output format (analyze, explain, lint, compare-precision, stats) *)
+
+let format_arg =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry options (shared by analyze/substitute/complete/lint) *)

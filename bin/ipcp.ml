@@ -2,14 +2,16 @@
 
     Subcommands:
     - [analyze]    run interprocedural constant propagation, print the
-                   CONSTANTS sets and the substitution count
+                   CONSTANTS sets and the substitution count; or, with
+                   [--domain=NAME], a registered analysis's report
+                   ([--domain=interval]: the value ranges), and with
+                   [--contexts] its value-context table
     - [explain]    derivation tree of an entry value: which call edges and
                    jump functions lowered it, back to the main seed
     - [substitute] print the transformed source with constants substituted
     - [complete]   iterate propagation with dead-code elimination
     - [intra]      the purely intraprocedural baseline count
     - [lint]       interprocedural diagnostics over the propagation results
-    - [ranges]     interprocedural value ranges (the interval domain)
     - [stats]      telemetry metrics aggregated over the bundled suite
     - [profile]    wall-time attribution of one analysis: phase table,
                    hot procedures, pool and cache behaviour
@@ -26,8 +28,10 @@
     - [suite]      print a bundled benchmark program
     - [gen]        emit a random well-formed program
 
-    Analysis commands go through the stable {!Ipcp_api.Ipcp} facade; only
-    [dump] (whose whole point is the internals) reaches below it. *)
+    Analysis commands go through the stable {!Ipcp_api.Ipcp} facade.
+    [dump] (whose whole point is the internals) reaches below it, and
+    [explain], [lint --contexts], [compare-precision] and [clone] reach
+    the driver through the unstable [Ipcp.Result.driver]. *)
 
 open Cmdliner
 open Ipcp_frontend
@@ -82,13 +86,6 @@ let analyze_cmd =
             "With --contexts: cap of exact contexts per procedure; \
              further entry values merge into one widened fallback \
              context (default 64).")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format for --domain reports: text or json.")
   in
   let opt_file_arg =
     Arg.(
@@ -182,7 +179,7 @@ let analyze_cmd =
 (* explain *)
 
 let explain_cmd =
-  let module Framework = Ipcp_core.Framework in
+  let module Registry = Ipcp_contexts.Registry in
   let module Provenance = Ipcp_core.Provenance in
   let domain_arg =
     Arg.(
@@ -191,12 +188,6 @@ let explain_cmd =
           ~doc:
             "Value domain to explain: const (default), interval or \
              copyprop.")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
   in
   let contexts_arg =
     Arg.(
@@ -226,15 +217,15 @@ let explain_cmd =
     Provenance.with_enabled @@ fun () ->
     let r = or_die (Ipcp.analyze ~config src) in
     if contexts then (
-      match Ipcp_contexts.Registry.explain ~domain (Ipcp.Result.driver r) with
+      match Registry.explain_contexts ~domain (Ipcp.Result.driver r) with
       | Error e ->
           Fmt.epr "ipcp: %s@." e;
           exit 2
       | Ok rep -> (
           match format with
-          | `Text -> Fmt.pr "%s" rep.Framework.r_text
+          | `Text -> Fmt.pr "%s" rep.Registry.r_text
           | `Json ->
-              Fmt.pr "%s@." (Ipcp_obs.Json.to_string rep.Framework.r_json)))
+              Fmt.pr "%s@." (Ipcp_obs.Json.to_string rep.Registry.r_json)))
     else begin
       let target =
         match target with
@@ -253,19 +244,19 @@ let explain_cmd =
             )
       in
       match
-        Framework.explain ~domain (Ipcp.Result.driver r) ~proc ?param ()
+        Registry.explain ~domain (Ipcp.Result.driver r) ~proc ?param ()
       with
       | Error e ->
           Fmt.epr "ipcp: %s@." e;
           exit 2
       | Ok x -> (
           (match format with
-          | `Text -> Fmt.pr "%s" x.Framework.x_text
+          | `Text -> Fmt.pr "%s" x.Registry.x_text
           | `Json ->
-              Fmt.pr "%s@." (Ipcp_obs.Json.to_string x.Framework.x_json));
+              Fmt.pr "%s@." (Ipcp_obs.Json.to_string x.Registry.x_json));
           (* every printed edge was re-evaluated against the fixpoint; a
              violation means the tree lies, which is a hard failure *)
-          match x.Framework.x_violations with
+          match x.Registry.x_violations with
           | [] -> ()
           | vs ->
               List.iter
@@ -436,46 +427,10 @@ let dump_cmd =
     Term.(const run $ config_term $ what_arg $ file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* ranges *)
-
-let ranges_cmd =
-  let module Ranges = Ipcp_core.Ranges in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
-  in
-  let run config obs cache format path =
-    let src = load_source path in
-    with_obs obs @@ fun () ->
-    let r = or_die (Ipcp.analyze ~config ~cache src) in
-    let rng = Ipcp.Result.ranges r in
-    (match format with
-    | `Text -> Fmt.pr "%a" Ranges.render_text rng
-    | `Json -> Fmt.pr "%a" Ranges.render_json rng);
-    cache_note obs (Ipcp.Result.cache r)
-  in
-  Cmd.v
-    (Cmd.info "ranges"
-       ~doc:
-         "Run interprocedural value-range analysis (the interval instance \
-          of the jump-function framework) and print the entry ranges and \
-          per-use range facts.")
-    Term.(const run $ config_term $ obs_term $ cache_term () $ format_arg
-          $ file_arg)
-
-(* ------------------------------------------------------------------ *)
 (* lint *)
 
 let lint_cmd =
   let module Lint = Ipcp_analysis.Lint in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
-  in
   let werror_arg =
     Arg.(value & flag & info [ "werror" ] ~doc:"Treat warnings as errors.")
   in
@@ -559,9 +514,9 @@ let lint_cmd =
           let rng =
             if use_contexts then
               let module Registry = Ipcp_contexts.Registry in
-              let ti = Registry.run_interval (Ipcp.Result.driver r) in
+              let ti = Registry.Interval.run (Ipcp.Result.driver r) in
               Ipcp_contexts.Compare.refine_facts rng
-                ti.Registry.TInterval.facts
+                ti.Registry.Interval.T.facts
             else rng
           in
           let fs, vt = Ipcp.Result.lints_with_verdicts ~enabled ~ranges:rng r in
@@ -618,12 +573,6 @@ let clone_cmd =
 
 let compare_cmd =
   let module Compare = Ipcp_contexts.Compare in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
-  in
   let gen_procs_arg =
     Arg.(
       value & opt int 0
@@ -715,12 +664,6 @@ let compare_cmd =
 (* stats *)
 
 let stats_cmd =
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
-  in
   let trace_arg =
     Arg.(
       value
@@ -1425,7 +1368,6 @@ let () =
             substitute_cmd;
             complete_cmd;
             lint_cmd;
-            ranges_cmd;
             compare_cmd;
             stats_cmd;
             profile_cmd;

@@ -10,7 +10,7 @@
 open Ipcp_frontend
 module Driver = Ipcp_core.Driver
 module Complete = Ipcp_opt.Complete
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 
 let source =
   {|

@@ -13,7 +13,7 @@
 
 open Ipcp_frontend
 module Driver = Ipcp_core.Driver
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 module Symexpr = Ipcp_vn.Symexpr
 
 let source =

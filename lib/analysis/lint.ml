@@ -45,7 +45,7 @@ module Ssa = Ipcp_ir.Ssa
 module Callgraph = Ipcp_callgraph.Callgraph
 module Driver = Ipcp_core.Driver
 module Ranges = Ipcp_core.Ranges
-module Framework = Ipcp_core.Framework
+module Live = Ipcp_dataflow.Live
 module Substitute = Ipcp_opt.Substitute
 module Severity = Diag.Severity
 module I = Ipcp_domains.Interval
@@ -562,12 +562,13 @@ let run_with_verdicts ?(enabled = fun _ -> true) ?ranges (t : Driver.t) :
       walk_proc ~add ~cu ~rf ~tally ~psym proc)
     symtab.Symtab.order;
   (* W009: source assignments whose stored value is dead (liveness over
-     the lowered CFG, computed by the framework's backward instance) *)
+     the lowered CFG, computed by the generic engine's backward instance) *)
   List.iter
     (fun (p, v, loc) ->
       add_in p Dead_store loc
         (Fmt.str "value assigned to %s is never used" v))
-    (Framework.dead_stores t);
+    (Live.dead_stores t.Driver.cfgs
+       (Live.all t.Driver.symtab t.Driver.cfgs));
   ( List.sort
       (fun a b ->
         match Loc.compare a.f_loc b.f_loc with

@@ -148,40 +148,36 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Domains = struct
-  module Framework = Ipcp_core.Framework
   module Registry = Ipcp_contexts.Registry
 
   type report = { text : string; json : string }
 
-  let names () = Framework.names
+  let of_report (rep : Registry.report) =
+    {
+      text = rep.Registry.r_text;
+      json = Ipcp_obs.Json.to_string rep.Registry.r_json;
+    }
+
+  let names () = Registry.names
 
   let describe name =
-    Option.map (fun e -> e.Framework.e_doc) (Framework.find name)
+    Option.map (fun e -> e.Registry.e_doc) (Registry.find name)
 
   let run name (r : Result.t) : report option =
     Option.map
-      (fun e ->
-        let rep = e.Framework.e_run r.Result.driver in
-        {
-          text = rep.Framework.r_text;
-          json = Ipcp_obs.Json.to_string rep.Framework.r_json;
-        })
-      (Framework.find name)
+      (fun e -> of_report (e.Registry.e_run r.Result.driver))
+      (Registry.find name)
 
-  let context_names () = Registry.names
+  let context_names () = Registry.value_names
 
   let describe_contexts name =
-    Option.map (fun e -> e.Registry.e_doc) (Registry.find name)
+    Option.map (fun v -> v.Registry.v_doc) (Registry.value name)
 
   let run_contexts ?ctx_limit ?warm name (r : Result.t) : report option =
     Option.map
-      (fun e ->
-        let rep = e.Registry.e_run ?ctx_limit ?warm r.Result.driver in
-        {
-          text = rep.Framework.r_text;
-          json = Ipcp_obs.Json.to_string rep.Framework.r_json;
-        })
-      (Registry.find name)
+      (fun v ->
+        of_report (v.Registry.v_tabulate ?ctx_limit ?warm r.Result.driver))
+      (Registry.value name)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -179,18 +179,22 @@ module Result : sig
   (** Escape hatch to the underlying pipeline state.  {b Unstable}: not
       covered by {!api_version}.
 
-      {b Deprecated} since api_version 2: every documented use (ranges,
-      lints, domain reports, explanation) now has a stable entry point
-      on {!Result} or {!Domains}.  The escape hatch will be removed when
-      api_version 3 lands; see DESIGN.md §"API v2 and the wire
-      protocol" for the migration table. *)
+      {b Deprecated} since api_version 2.  Ranges, lints and the
+      registry's reports have stable entry points on {!Result} and
+      {!Domains}, but several uses have none yet and reach the driver
+      through here: [ipcp explain] (with and without [--contexts]),
+      [ipcp lint --contexts], [ipcp compare-precision], [ipcp clone]
+      and the [perf/] benchmark.  The escape hatch will be removed when
+      api_version 3 gives those a stable entry point; see DESIGN.md
+      §"API v2 and the wire protocol" for the migration table. *)
 end
 
 (** The analysis registry: every monotone-framework instance behind
     [ipcp analyze --domain=NAME], addressable by name, plus the
     context-sensitive (value-context tabulation) instantiations behind
-    [--contexts].  Additive over api_version 1 — existing entry points
-    are untouched. *)
+    [--contexts].  Both read the one table of {!Ipcp_contexts.Registry}.
+    Additive over api_version 1 — existing entry points are
+    untouched. *)
 module Domains : sig
   type report = { text : string; json : string }
   (** Deterministic renderings of one analysis run: human-readable text

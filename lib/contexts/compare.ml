@@ -24,8 +24,8 @@ module Lint = Ipcp_analysis.Lint
 module Json = Ipcp_obs.Json
 module CL = Ipcp_domains.Clattice
 module I = Ipcp_domains.Interval
-module TConst = Registry.TConst
-module TInterval = Registry.TInterval
+module TConst = Registry.Const.T
+module TInterval = Registry.Interval.T
 
 type row = {
   r_name : string;
@@ -138,8 +138,8 @@ let run_program ?ctx_limit ?(warm = false) ~name (d : Driver.t) : row =
   (* context side: constant + interval tabulation *)
   let (tc, ti), ctx_s, ctx_mb =
     timed (fun () ->
-        ( Registry.run_const ?ctx_limit ~warm d,
-          Registry.run_interval ?ctx_limit ~warm d ))
+        ( Registry.Const.run ?ctx_limit ~warm d,
+          Registry.Interval.run ?ctx_limit ~warm d ))
   in
   let _ctx_findings, ctx_verdicts =
     Lint.run_with_verdicts ~enabled

@@ -20,6 +20,7 @@ open Ipcp_frontend.Names
 module Symtab = Ipcp_frontend.Symtab
 module Callgraph = Ipcp_callgraph.Callgraph
 module Instr = Ipcp_ir.Instr
+module Clattice = Ipcp_domains.Clattice
 
 type node = string * string  (** procedure, parameter *)
 

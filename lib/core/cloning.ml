@@ -14,6 +14,7 @@
 open Ipcp_frontend.Names
 module Callgraph = Ipcp_callgraph.Callgraph
 module Instr = Ipcp_ir.Instr
+module Clattice = Ipcp_domains.Clattice
 
 type clone_group = {
   cg_vector : (string * int) list;  (** constants this clone would see *)

@@ -28,6 +28,7 @@ module Verify = Ipcp_verify.Verify
 module Metrics = Ipcp_obs.Metrics
 module Trace = Ipcp_obs.Trace
 module Pool = Ipcp_par.Pool
+module Clattice = Ipcp_domains.Clattice
 
 type t = {
   config : Config.t;

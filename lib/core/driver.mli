@@ -47,8 +47,8 @@ val final_evals : t -> Symeval.t Ipcp_frontend.Names.SM.t
 val analyze_ranges : t -> Ranges.t
 (** The interval instance: interprocedural range propagation over the
     already-built jump functions plus a per-procedure abstract
-    evaluation, yielding the range facts behind [ipcp ranges] and the
-    range-aware lint checks. *)
+    evaluation, yielding the range facts behind
+    [ipcp analyze --domain=interval] and the range-aware lint checks. *)
 
 (** Census of the jump functions built, for the §3.1.5 cost ablation. *)
 type jf_census = {

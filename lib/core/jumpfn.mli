@@ -65,5 +65,6 @@ module Eval (D : Ipcp_domains.Domain.S) : sig
       recording is enabled. *)
 end
 
-val eval : t -> (string -> Clattice.t) -> Clattice.t
+val eval :
+  t -> (string -> Ipcp_domains.Clattice.t) -> Ipcp_domains.Clattice.t
 (** [Eval(Clattice).eval]: the historical constant-lattice evaluation. *)

@@ -1,7 +1,7 @@
 (** The interprocedural value-range pipeline: the domain-generic
     {!Valueflow} stages instantiated with the {!Ipcp_domains.Interval}
     domain, plus the interval-specific fact metrics and the renderers
-    behind [ipcp ranges].
+    behind [ipcp analyze --domain=interval].
 
     See {!Valueflow} for the three stages (interprocedural propagation,
     intraprocedural evaluation, fact recording); this instance runs them
@@ -61,7 +61,7 @@ let fact = VF.fact
 let entry_ranges = VF.entry_values
 
 (* ------------------------------------------------------------------ *)
-(* Rendering, shared by [ipcp ranges] text/JSON output *)
+(* Rendering, shared by [ipcp analyze --domain=interval] text/JSON output *)
 
 type summary = {
   s_procs : int;
@@ -159,4 +159,3 @@ let json (t : t) : Json.t =
           ] );
     ]
 
-let render_json ppf t = Fmt.pf ppf "%s@." (Json.to_string (json t))

@@ -44,7 +44,8 @@ val fact : t -> Loc.t -> I.t option
 val entry_ranges : t -> string -> I.t Ipcp_frontend.Names.SM.t
 (** RANGES(p): the interval VAL set on entry to [p]. *)
 
-(** Aggregate counts over the fact map, as printed by [ipcp ranges]. *)
+(** Aggregate counts over the fact map, as printed by
+    [ipcp analyze --domain=interval]. *)
 type summary = {
   s_procs : int;
   s_facts : int;
@@ -63,5 +64,3 @@ val render_text : Format.formatter -> t -> unit
 val json : t -> Json.t
 (** The same content as a deterministic JSON document (procedures and
     facts in sorted order, ranges as strings). *)
-
-val render_json : Format.formatter -> t -> unit

@@ -25,6 +25,7 @@ module Cfg = Ipcp_ir.Cfg
 module Ssa = Ipcp_ir.Ssa
 module Symtab = Ipcp_frontend.Symtab
 module Symexpr = Ipcp_vn.Symexpr
+module Clattice = Ipcp_domains.Clattice
 
 type value = Top | Sexp of Symexpr.t | Bottom
 

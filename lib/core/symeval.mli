@@ -24,7 +24,7 @@ val const : int -> value
 
 val is_const : value -> int option
 
-val to_clattice : value -> Clattice.t
+val to_clattice : value -> Ipcp_domains.Clattice.t
 
 val pp_value : value Fmt.t
 

@@ -4,7 +4,7 @@
     {!Dataflow.Make} is the raw Kildall iteration; this module packages a
     complete analysis as a first-class description — direction, lattice,
     boundary values and per-block transfer — so an instance is one module
-    and the registry in [Ipcp_core.Framework] can enumerate them.  The
+    and the registry in [Ipcp_contexts.Registry] can enumerate them.  The
     per-statement transfer is expressed as the block transfer composed
     from the instruction walk each instance supplies; a [ctx] value
     carries whatever per-procedure inputs the instance needs (the escape

@@ -4,8 +4,8 @@
     {!Dataflow.Make} is the raw Kildall iteration; this module packages a
     complete analysis as a first-class description — direction, lattice,
     boundary values and per-block transfer — so that an instance is a
-    single module and the registry in [Ipcp_core.Framework] can enumerate
-    them uniformly.  A [ctx] value carries whatever per-procedure inputs
+    single module and the registry in [Ipcp_contexts.Registry] can
+    enumerate them uniformly.  A [ctx] value carries whatever per-procedure inputs
     the instance needs (the escape set for liveness, the expression
     universe for available expressions). *)
 

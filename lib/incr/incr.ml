@@ -44,7 +44,7 @@ module Solver = Ipcp_core.Solver
 module Symeval = Ipcp_core.Symeval
 module Returnjf = Ipcp_core.Returnjf
 module Jumpfn = Ipcp_core.Jumpfn
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 module Substitute = Ipcp_opt.Substitute
 module Obs = Ipcp_obs.Obs
 module Trace = Ipcp_obs.Trace

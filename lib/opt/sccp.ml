@@ -19,7 +19,7 @@ open Names
 module Instr = Ipcp_ir.Instr
 module Cfg = Ipcp_ir.Cfg
 module Ssa = Ipcp_ir.Ssa
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 
 type t = {
   values : (Instr.var, Clattice.t) Hashtbl.t;

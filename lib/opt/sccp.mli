@@ -6,7 +6,7 @@
 
 module Instr = Ipcp_ir.Instr
 module Cfg = Ipcp_ir.Cfg
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 
 type t = {
   values : (Instr.var, Clattice.t) Hashtbl.t;

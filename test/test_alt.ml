@@ -7,7 +7,7 @@ module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
 module Solver = Ipcp_core.Solver
 module Bindgraph = Ipcp_core.Bindgraph
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 module Sccp = Ipcp_opt.Sccp
 module Intra = Ipcp_opt.Intra
 module Generator = Ipcp_gen.Generator

@@ -298,9 +298,9 @@ END
           Solver.val_of t.Driver.solver "sink" "v"
         in
         Alcotest.(check string) "paper-faithful loses it" "⊥"
-          (Ipcp_core.Clattice.to_string (count false));
+          (Ipcp_domains.Clattice.to_string (count false));
         Alcotest.(check string) "symbolic extension finds 42" "42"
-          (Ipcp_core.Clattice.to_string (count true)));
+          (Ipcp_domains.Clattice.to_string (count true)));
     Alcotest.test_case "STOP paths do not contribute to return values"
       `Quick (fun () ->
         let src =
@@ -369,7 +369,7 @@ END
         in
         let _, t = Driver.analyze_source ~file:"<s>" src in
         Alcotest.(check string) "dead's formal stays ⊤" "⊤"
-          (Ipcp_core.Clattice.to_string (Solver.val_of t.Driver.solver "dead" "x")));
+          (Ipcp_domains.Clattice.to_string (Solver.val_of t.Driver.solver "dead" "x")));
   ]
 
 let suites =

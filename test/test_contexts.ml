@@ -1,6 +1,8 @@
 (* Value-context tabulation: the soundness keystone against the 1986
    jump-function solver, determinism under parallel evaluation, the
    bounded-table guarantee for recursion groups, and the warm cache.
+   test_framework.ml repeats the determinism check for every value
+   domain and engine.
 
    The keystone is the refinement relation: every entry constant the
    solver proves must survive in the tabulation's merged projection —
@@ -121,9 +123,9 @@ let engine_tests =
               ~config:{ Config.default with Config.jobs }
               ~file:"<gen>" src
           in
-          let t = Registry.run_const ~warm:false d in
-          ( Fmt.str "%a" Registry.TConst.render_text t,
-            Registry.TConst.json t )
+          let t = Registry.Const.run ~warm:false d in
+          ( Fmt.str "%a" Registry.Const.T.render_text t,
+            Registry.Const.T.json t )
         in
         let t1, j1 = table 1 and t4, j4 = table 4 in
         Alcotest.(check string) "rendered tables equal" t1 t4;
@@ -132,8 +134,8 @@ let engine_tests =
       `Quick (fun () ->
         let src = gen_src ~shape:Generator.Cyclic ~n_procs:12 2 in
         let d = driver_of ~file:"<gen>" src in
-        let t = Registry.run_const ~ctx_limit:2 ~warm:false d in
-        let s = t.Registry.TConst.summary in
+        let t = Registry.Const.run ~ctx_limit:2 ~warm:false d in
+        let s = t.Registry.Const.T.summary in
         if s.Tabulation.s_fallbacks < 1 then
           Alcotest.fail "expected at least one fallback context";
         (* at most ctx_limit exact contexts plus one fallback per proc *)
@@ -145,24 +147,24 @@ let engine_tests =
         | (proc, name, _, _) :: _ ->
             Alcotest.failf "keystone violated at %s.%s" proc name);
         (* the fixpoint is a pure function of the program *)
-        let t' = Registry.run_const ~ctx_limit:2 ~warm:false d in
+        let t' = Registry.Const.run ~ctx_limit:2 ~warm:false d in
         Alcotest.(check string)
           "re-run identical"
-          (Fmt.str "%a" Registry.TConst.render_text t)
-          (Fmt.str "%a" Registry.TConst.render_text t'));
+          (Fmt.str "%a" Registry.Const.T.render_text t)
+          (Fmt.str "%a" Registry.Const.T.render_text t'));
     Alcotest.test_case "warm cache seeds exits and preserves the table"
       `Quick (fun () ->
         Registry.reset_caches ();
         let p = Option.get (Programs.by_name "ctxdemo") in
         let d = driver_of ~file:p.Programs.name p.Programs.source in
-        let t1 = Registry.run_const ~warm:true d in
-        let t2 = Registry.run_const ~warm:true d in
-        if t2.Registry.TConst.summary.Tabulation.s_cache_seeds < 1 then
+        let t1 = Registry.Const.run ~warm:true d in
+        let t2 = Registry.Const.run ~warm:true d in
+        if t2.Registry.Const.T.summary.Tabulation.s_cache_seeds < 1 then
           Alcotest.fail "second run adopted no cached exits";
         Alcotest.(check bool)
           "same contexts and exits" true
-          (procedures_json (Registry.TConst.json t1)
-          = procedures_json (Registry.TConst.json t2));
+          (procedures_json (Registry.Const.T.json t1)
+          = procedures_json (Registry.Const.T.json t2));
         Registry.reset_caches ());
   ]
 

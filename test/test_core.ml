@@ -3,7 +3,7 @@
 open Ipcp_frontend
 module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 module Solver = Ipcp_core.Solver
 module Substitute = Ipcp_opt.Substitute
 module Intra = Ipcp_opt.Intra

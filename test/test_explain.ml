@@ -10,13 +10,14 @@
     recorder attributed a value to an edge that does not justify it.
 
     Also pinned here: the exact literal → pass-through → polynomial
-    chain of the matrix300 program (the README walkthrough), and the
+    chain of the matrix300 program (the README walkthrough), the
     off-by-default contract (no recording, and a clear error from
-    explain, when {!Ipcp_core.Provenance} is disabled). *)
+    explain, when {!Ipcp_core.Provenance} is disabled), and the
+    context-creation edges of [explain --contexts]. *)
 
 module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
-module Framework = Ipcp_core.Framework
+module Registry = Ipcp_contexts.Registry
 module Provenance = Ipcp_core.Provenance
 module Solver = Ipcp_core.Solver
 module Explain = Ipcp_core.Explain
@@ -43,13 +44,13 @@ let test_differential domain () =
       let symtab, d = analyze p in
       List.iter
         (fun proc ->
-          match Framework.explain ~domain d ~proc () with
+          match Registry.explain ~domain d ~proc () with
           | Error e ->
               Alcotest.failf "%s/%s: explain %s failed: %s" domain
                 p.Programs.name proc e
           | Ok x -> (
               incr explained;
-              match x.Framework.x_violations with
+              match x.Registry.x_violations with
               | [] -> ()
               | v :: _ as vs ->
                   Alcotest.failf
@@ -70,16 +71,16 @@ let test_matrix300_chain () =
   let _, d = analyze (program "matrix300") in
   let node =
     match
-      Framework.explain ~domain:"const" d ~proc:"mxflop" ~param:"nops" ()
+      Registry.explain ~domain:"const" d ~proc:"mxflop" ~param:"nops" ()
     with
     | Error e -> Alcotest.failf "explain mxflop.nops: %s" e
     | Ok x -> (
-        (match x.Framework.x_violations with
+        (match x.Registry.x_violations with
         | [] -> ()
         | v :: _ ->
             Alcotest.failf "unverified edge: %s"
               (Fmt.str "%a" Explain.pp_violation v));
-        match x.Framework.x_json with
+        match x.Registry.x_json with
         | Json.Arr [ node ] -> node
         | j -> Alcotest.failf "expected one tree, got %s" (Json.to_string j))
   in
@@ -115,16 +116,16 @@ let test_matrix300_chain () =
 let test_matrix300_passthrough () =
   Provenance.with_enabled @@ fun () ->
   let _, d = analyze (program "matrix300") in
-  match Framework.explain ~domain:"const" d ~proc:"mxk2" ~param:"n" () with
+  match Registry.explain ~domain:"const" d ~proc:"mxk2" ~param:"n" () with
   | Error e -> Alcotest.failf "explain mxk2.n: %s" e
   | Ok x ->
       Alcotest.(check (list string)) "no violations" []
         (List.map
            (fun v -> Fmt.str "%a" Explain.pp_violation v)
-           x.Framework.x_violations);
+           x.Registry.x_violations);
       Alcotest.(check bool) "pass-through edge rendered" true
         (Astring.String.is_infix ~affix:"jf passthrough ⟨n⟩ = 20"
-           x.Framework.x_text)
+           x.Registry.x_text)
 
 let test_disabled () =
   (* Provenance is off by default: the solver must record nothing and
@@ -133,11 +134,60 @@ let test_disabled () =
   let symtab, d = analyze (program "adm") in
   Alcotest.(check bool) "no provenance on the solver" true
     (d.Driver.solver.Solver.prov = None);
-  match Framework.explain ~domain:"const" d ~proc:symtab.Symtab.main () with
+  match Registry.explain ~domain:"const" d ~proc:symtab.Symtab.main () with
   | Ok _ -> Alcotest.fail "explain succeeded without recorded provenance"
   | Error e ->
       Alcotest.(check bool) "error names the switch" true
         (Astring.String.is_infix ~affix:"disabled" e)
+
+(* explain --contexts: every value domain explains ctxdemo's table, the
+   summary line counts the edges the JSON lists, and every edge creates
+   a context of a procedure the table holds; a flow problem or an
+   unknown name is refused *)
+let test_contexts () =
+  let _, d = analyze (Option.get (Programs.by_name "ctxdemo")) in
+  let field name j =
+    match Json.member name j with
+    | Some v -> v
+    | None -> Alcotest.failf "missing %s in %s" name (Json.to_string j)
+  in
+  let list j = Option.value ~default:[] (Json.to_list j) in
+  let str name j = Option.get (Json.to_str (field name j)) in
+  List.iter
+    (fun domain ->
+      match Registry.explain_contexts ~domain d with
+      | Error e -> Alcotest.failf "%s: %s" domain e
+      | Ok rep ->
+          let edges = list (field "creation_edges" rep.Registry.r_json) in
+          let procs =
+            list (field "procedures" (field "contexts" rep.Registry.r_json))
+            |> List.map (str "procedure")
+          in
+          Alcotest.(check bool)
+            (domain ^ ": edge count line") true
+            (Astring.String.is_infix
+               ~affix:
+                 (Fmt.str "context creation edges: %d\n" (List.length edges))
+               rep.Registry.r_text);
+          Alcotest.(check bool) (domain ^ ": some edges") true (edges <> []);
+          List.iter
+            (fun e ->
+              let p = str "procedure" e in
+              if not (List.mem p procs) then
+                Alcotest.failf "%s: edge creates a context of %s, not in \
+                                the table" domain p)
+            edges)
+    Registry.value_names;
+  List.iter
+    (fun domain ->
+      match Registry.explain_contexts ~domain d with
+      | Ok _ -> Alcotest.failf "%s: explained" domain
+      | Error e ->
+          Alcotest.(check bool)
+            (domain ^ ": refused") true
+            (Astring.String.is_prefix
+               ~affix:"unknown context-sensitive domain" e))
+    [ "live"; "nosuch" ]
 
 let suites =
   [
@@ -155,5 +205,7 @@ let suites =
           test_matrix300_passthrough;
         Alcotest.test_case "disabled provenance explains nothing" `Quick
           test_disabled;
+        Alcotest.test_case "contexts: creation edges of every value domain"
+          `Quick test_contexts;
       ] );
   ]

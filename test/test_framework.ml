@@ -15,7 +15,9 @@
      cross-check — an expression still available at its recomputation
      must be congruent to the prior computation under SSA value
      numbering;
-   - every domain report is deterministic across worker counts;
+   - every (entry × engine) report is identical at jobs 1 and at
+     oversubscribed jobs 4, on inputs where jobs 4 dispatches pool
+     batches;
    - the CLI surface: [--list-domains], [--domain] and the unknown-name
      exit code. *)
 
@@ -24,7 +26,7 @@ open Ipcp_frontend.Names
 module Loc = Ipcp_frontend.Loc
 module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
-module Framework = Ipcp_core.Framework
+module Registry = Ipcp_contexts.Registry
 module Valueflow = Ipcp_core.Valueflow
 module C = Ipcp_domains.Copyprop
 module CL = Ipcp_domains.Clattice
@@ -35,14 +37,18 @@ module Instr = Ipcp_ir.Instr
 module Liveness = Ipcp_ir.Liveness
 module Gvn = Ipcp_vn.Gvn
 module Json = Ipcp_obs.Json
+module Obs = Ipcp_obs.Obs
+module Metrics = Ipcp_obs.Metrics
+module Pool = Ipcp_par.Pool
+module Generator = Ipcp_gen.Generator
 module Programs = Ipcp_suite.Programs
 
 (* ------------------------------------------------------------------ *)
 (* Generic lattice laws, one batch per registry entry *)
 
-let laws_tests (e : Framework.entry) : QCheck.Test.t list =
-  match e.Framework.e_laws with
-  | Framework.Laws (module L) ->
+let laws_tests (e : Registry.entry) : QCheck.Test.t list =
+  match e.Registry.e_laws with
+  | Registry.Laws (module L) ->
       let open QCheck in
       let el = L.elem in
       let name s = Fmt.str "laws %s: %s" L.name s in
@@ -80,7 +86,7 @@ let laws_tests (e : Framework.entry) : QCheck.Test.t list =
             List.for_all (fun (_, f) -> L.leq (f lo) (f hi)) L.transfers);
       ]
 
-let all_laws_tests = List.concat_map laws_tests Framework.all
+let all_laws_tests = List.concat_map laws_tests Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Suite-wide helpers *)
@@ -92,7 +98,7 @@ let analyze_program ?config (p : Programs.program) =
   Driver.analyze ?config symtab
 
 module KVF = Valueflow.Make (CL)
-module CVF = Framework.CVF
+module CVF = Registry.CVF
 
 let const_flow (d : Driver.t) : KVF.t =
   KVF.compute ~ns:"constdiff" ~config:d.Driver.config ~symtab:d.Driver.symtab
@@ -113,7 +119,7 @@ let copyprop_subsumes_const () =
     (fun (p : Programs.program) ->
       let d = analyze_program p in
       let kv = const_flow d in
-      let cv = Framework.copyprop_compute d in
+      let cv = Registry.copyprop_compute d in
       (* 1. the copy solver's VAL sets coincide with the constant
          lattice's: Copy never enters the interprocedural propagation *)
       let kvals = kv.KVF.solver.KVF.S.vals
@@ -166,7 +172,7 @@ let copyprop_subsumes_const () =
               if CL.equal kvv CL.top <> C.equal cvv C.top then
                 Alcotest.failf "%s: reachability differs at %a"
                   p.Programs.name Loc.pp loc;
-              (match Framework.copyprop_classify cvv with
+              (match Registry.copyprop_classify cvv with
               | `Copy ->
                   incr total_copies;
                   if not (CL.equal kvv CL.bot) then
@@ -190,7 +196,7 @@ let live_matches_liveness () =
       let globals = Symtab.global_names d.Driver.symtab in
       SM.iter
         (fun proc cfg ->
-          let formals = Framework.scalar_formals d.Driver.symtab proc in
+          let formals = Live.scalar_formals d.Driver.symtab proc in
           let a = Liveness.compute ~formals ~globals cfg in
           let b = Live.compute ~formals ~globals cfg in
           Array.iteri
@@ -296,33 +302,67 @@ let avail_gvn_cross_check () =
   Alcotest.(check bool) "cross-check exercised" true (!checked >= 0)
 
 (* ------------------------------------------------------------------ *)
-(* determinism: every domain report is identical across worker counts *)
+(* determinism: every (entry × engine) report is identical at jobs 1 and
+   at oversubscribed jobs 4.  Each run (analysis plus report) must
+   dispatch a pool batch at jobs 4, as in par-telemetry, so the parallel
+   paths really run: the jump-function reports get a 120-procedure
+   scaled program, the costlier tabulation the 40-procedure mixed
+   program of the contexts-engine tests.  Interval tabulation dispatches
+   no batch below CI's 600-procedure mixed program (about 5 s a run), so
+   its parallel path is diffed there instead. *)
+
+let ci_only = [ "interval --contexts" ]
 
 let reports_jobs_deterministic () =
+  Obs.set_enabled true;
+  Pool.oversubscribe := true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Pool.oversubscribe := false)
+  @@ fun () ->
+  let generate params = Generator.generate ~params () in
+  let jf_src =
+    generate (Generator.scaled ~shape:Generator.Mixed ~n_procs:120 ())
+  and tab_src =
+    generate
+      {
+        Generator.default with
+        Generator.seed = 7;
+        shape = Generator.Mixed;
+        n_procs = 40;
+      }
+  in
+  let check what src (report : Driver.t -> Registry.report) =
+    let run jobs =
+      Metrics.reset ();
+      let _, d =
+        Driver.analyze_source
+          ~config:{ Config.default with Config.jobs }
+          ~file:"<gen>" src
+      in
+      let r = report d in
+      ( r.Registry.r_text,
+        Json.to_string r.Registry.r_json,
+        Metrics.get "pool.batches" )
+    in
+    let t1, j1, _ = run 1 and t4, j4, batches = run 4 in
+    if batches = 0 && not (List.mem what ci_only) then
+      Alcotest.failf "%s: no pool batch at jobs=4" what;
+    Alcotest.(check string) (what ^ ": text") t1 t4;
+    Alcotest.(check string) (what ^ ": json") j1 j4
+  in
   List.iter
-    (fun name ->
-      let p =
-        List.find (fun (p : Programs.program) -> p.Programs.name = name)
-          Programs.all
-      in
-      let report jobs e =
-        let d =
-          analyze_program ~config:{ Config.default with Config.jobs } p
-        in
-        let r = e.Framework.e_run d in
-        (r.Framework.r_text, Json.to_string r.Framework.r_json)
-      in
-      List.iter
-        (fun (e : Framework.entry) ->
-          let t1, j1 = report 1 e and t4, j4 = report 4 e in
-          Alcotest.(check string)
-            (Fmt.str "%s/%s: text deterministic" name e.Framework.e_name)
-            t1 t4;
-          Alcotest.(check string)
-            (Fmt.str "%s/%s: json deterministic" name e.Framework.e_name)
-            j1 j4)
-        Framework.all)
-    [ "linpackd"; "mdg"; "ocean" ]
+    (fun (e : Registry.entry) ->
+      check e.Registry.e_name jf_src e.Registry.e_run;
+      Option.iter
+        (fun (v : Registry.value) ->
+          check
+            (e.Registry.e_name ^ " --contexts")
+            tab_src
+            (fun d -> v.Registry.v_tabulate ~warm:false d))
+        e.Registry.e_value)
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* CLI: --list-domains, --domain and the unknown-domain exit code *)
@@ -370,7 +410,7 @@ let cli_tests =
                 Alcotest.(check bool)
                   (name ^ " listed") true
                   (Astring.String.is_infix ~affix:name listing))
-              Framework.names));
+              Registry.names));
     Alcotest.test_case "--domain runs each registered analysis" `Quick
       (fun () ->
         with_tmp_source tiny_src (fun path ->
@@ -391,7 +431,7 @@ let cli_tests =
                       (Fmt.str "%s/%s exits 0" name fmt)
                       0 rc)
                   [ "text"; "json" ])
-              Framework.names));
+              Registry.names));
     Alcotest.test_case "unknown --domain exits 2" `Quick (fun () ->
         with_tmp_source tiny_src (fun path ->
             let rc =
@@ -418,7 +458,8 @@ let suites =
           avail_sanity;
         Alcotest.test_case "avail recomputations are GVN-congruent" `Quick
           avail_gvn_cross_check;
-        Alcotest.test_case "domain reports deterministic across jobs" `Quick
+        Alcotest.test_case
+          "domain reports deterministic across jobs, both engines" `Quick
           reports_jobs_deterministic;
       ]
       @ cli_tests );

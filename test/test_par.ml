@@ -11,7 +11,7 @@ module Pool = Ipcp_par.Pool
 module Config = Ipcp_core.Config
 module Driver = Ipcp_core.Driver
 module Solver = Ipcp_core.Solver
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 module Substitute = Ipcp_opt.Substitute
 module Lint = Ipcp_analysis.Lint
 module Programs = Ipcp_suite.Programs

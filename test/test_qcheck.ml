@@ -3,7 +3,7 @@
    properties — soundness against the interpreter, semantic preservation —
    live in test_props.ml with the program generator.) *)
 
-module Clattice = Ipcp_core.Clattice
+module Clattice = Ipcp_domains.Clattice
 module Symexpr = Ipcp_vn.Symexpr
 module Jumpfn = Ipcp_core.Jumpfn
 open Ipcp_frontend.Names

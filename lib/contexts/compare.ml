@@ -49,12 +49,22 @@ type row = {
   r_ctx_mb : float;
 }
 
+(* Words allocated by every domain: [Gc.quick_stat] adds the samples
+   pool lanes leave at each minor collection to the calling domain's
+   live counters, where [Gc.allocated_bytes] counts the calling domain
+   only.  The closing minor collection refreshes the lanes' samples. *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
 let timed f =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
   let x = f () in
   let s = Unix.gettimeofday () -. t0 in
-  let mb = (Gc.allocated_bytes () -. a0) /. (1024. *. 1024.) in
+  Gc.minor ();
+  let words = allocated_words () -. a0 in
+  let mb = words *. float_of_int (Sys.word_size / 8) /. (1024. *. 1024.) in
   (x, s, mb)
 
 (** Per-location refinement of the jump-function range facts by the

@@ -85,9 +85,9 @@ let narrow _wide refit = refit
 
 let finite_height = true
 
-let pp ppf = function
-  | Top -> Fmt.string ppf "⊤"
-  | Const c -> Fmt.int ppf c
-  | Bottom -> Fmt.string ppf "⊥"
+let to_string = function
+  | Top -> "⊤"
+  | Const c -> string_of_int c
+  | Bottom -> "⊥"
 
-let to_string t = Fmt.str "%a" pp t
+let pp ppf t = Fmt.string ppf (to_string t)

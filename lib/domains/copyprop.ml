@@ -122,10 +122,10 @@ let narrow _wide refit = refit
 
 let finite_height = true
 
-let pp ppf = function
-  | Top -> Fmt.string ppf "⊤"
-  | Const c -> Fmt.int ppf c
-  | Copy x -> Fmt.pf ppf "entry(%s)" x
-  | Bottom -> Fmt.string ppf "⊥"
+let to_string = function
+  | Top -> "⊤"
+  | Const c -> string_of_int c
+  | Copy x -> "entry(" ^ x ^ ")"
+  | Bottom -> "⊥"
 
-let to_string t = Fmt.str "%a" pp t
+let pp ppf t = Fmt.string ppf (to_string t)

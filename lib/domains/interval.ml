@@ -331,15 +331,15 @@ let narrow wide refit =
 
 let finite_height = false
 
-let pp_border ppf = function
-  | Ninf -> Fmt.string ppf "-inf"
-  | Pinf -> Fmt.string ppf "+inf"
-  | Fin x -> Fmt.int ppf x
+let border_string = function
+  | Ninf -> "-inf"
+  | Pinf -> "+inf"
+  | Fin x -> string_of_int x
 
-let pp ppf = function
-  | Top -> Fmt.string ppf "⊤"
-  | Range (Ninf, Pinf) -> Fmt.string ppf "⊥"
-  | Range (Fin a, Fin b) when a = b -> Fmt.int ppf a
-  | Range (lo, hi) -> Fmt.pf ppf "[%a, %a]" pp_border lo pp_border hi
+let to_string = function
+  | Top -> "⊤"
+  | Range (Ninf, Pinf) -> "⊥"
+  | Range (Fin a, Fin b) when a = b -> string_of_int a
+  | Range (lo, hi) -> "[" ^ border_string lo ^ ", " ^ border_string hi ^ "]"
 
-let to_string t = Fmt.str "%a" pp t
+let pp ppf t = Fmt.string ppf (to_string t)

@@ -1,6 +1,7 @@
 (* Value-context tabulation: the soundness keystone against the 1986
    jump-function solver, determinism under parallel evaluation, the
-   bounded-table guarantee for recursion groups, and the warm cache.
+   bounded-table guarantee for recursion groups, the warm cache, and
+   tables and work pinned to recorded runs.
    test_framework.ml repeats the determinism check for every value
    domain and engine.
 
@@ -18,6 +19,9 @@ module Tabulation = Ipcp_contexts.Tabulation
 module Compare = Ipcp_contexts.Compare
 module Lint = Ipcp_analysis.Lint
 module Json = Ipcp_obs.Json
+module Obs = Ipcp_obs.Obs
+module Metrics = Ipcp_obs.Metrics
+module Pool = Ipcp_par.Pool
 
 let driver_of ?config ~file src =
   snd (Driver.analyze_source ?config ~file src)
@@ -168,10 +172,87 @@ let engine_tests =
         Registry.reset_caches ());
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The table and the work to reach it, pinned *)
+
+(* Cold tabulations recorded from the engine that keyed contexts by
+   their printed entry strings: program, domain, contexts created,
+   evaluations, rounds, contexts kept, fallbacks kept, and the MD5 of
+   the JSON report.  Keying by value must reproduce them at every jobs
+   setting, and build one canonical key per exact context created (every
+   created context but the fallbacks), not one per call-site lookup. *)
+let pinned =
+  [
+    ("ctxdemo", "const", 6, 9, 6, 6, 0, "d6a2df4d5009636928953c8bccfa42f6");
+    ("ctxdemo", "interval", 6, 9, 6, 6, 0, "8fc2355ba22c8bb83a08b6ea61169627");
+    ("mixed40", "const", 986, 4531, 1035, 41, 14,
+     "e08d91e2e992cda7241aa6c3a89ef182");
+    ("mixed40", "interval", 142, 298, 207, 55, 0,
+     "169bdb07ddadcd21c68e9b59ed86c264");
+  ]
+
+let pinned_source = function
+  | "ctxdemo" -> (Option.get (Programs.by_name "ctxdemo")).Programs.source
+  | _ -> gen_src ~shape:Generator.Mixed ~n_procs:40 7
+
+let pinned_run ~jobs prog dom =
+  let d =
+    driver_of ~config:{ Config.default with Config.jobs } ~file:prog
+      (pinned_source prog)
+  in
+  match dom with
+  | "const" ->
+      let t = Registry.Const.run ~warm:false d in
+      (t.Registry.Const.T.summary, Registry.Const.T.json t)
+  | _ ->
+      let t = Registry.Interval.run ~warm:false d in
+      (t.Registry.Interval.T.summary, Registry.Interval.T.json t)
+
+let pinned_tests =
+  [
+    Alcotest.test_case "tables, work and keys match the recorded runs"
+      `Quick (fun () ->
+        Obs.set_enabled true;
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.set_enabled false;
+            Pool.oversubscribe := false;
+            Metrics.reset ())
+        @@ fun () ->
+        List.iter
+          (fun jobs ->
+            Pool.oversubscribe := jobs > 1;
+            List.iter
+              (fun (prog, dom, created, evals, rounds, contexts, fallbacks, md5)
+                 ->
+                Metrics.reset ();
+                let s, json = pinned_run ~jobs prog dom in
+                let what field =
+                  Fmt.str "%s %s jobs %d: %s" prog dom jobs field
+                in
+                let check field want got =
+                  Alcotest.(check int) (what field) want got
+                in
+                check "created" created s.Tabulation.s_created;
+                check "evals" evals s.Tabulation.s_evals;
+                check "rounds" rounds s.Tabulation.s_rounds;
+                check "contexts" contexts s.Tabulation.s_contexts;
+                check "fallbacks" fallbacks s.Tabulation.s_fallbacks;
+                Alcotest.(check string)
+                  (what "JSON digest") md5
+                  (Digest.to_hex (Digest.string (Json.to_string json)));
+                check "canonical keys built"
+                  (created - Metrics.get ("ctx." ^ dom ^ ".fallbacks"))
+                  (Metrics.get ("ctx." ^ dom ^ ".keys")))
+              pinned)
+          [ 1; 4 ]);
+  ]
+
 let suites =
   [
     ("contexts-suite", suite_tests);
     ( "contexts-shapes",
       List.map QCheck_alcotest.to_alcotest [ prop_keystone ] );
     ("contexts-engine", engine_tests);
+    ("contexts-pinned", pinned_tests);
   ]

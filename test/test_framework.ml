@@ -4,6 +4,9 @@
      meet-semilattice laws, top/bot behaviour, leq/meet agreement,
      absorption against the join when one exists, and monotonicity of
      the instance's sampled transfer functions;
+   - for every value domain, the condition that lets the tabulation key
+     contexts by value: [to_string] agrees with [equal], and equal
+     elements hash alike;
    - the differential keystone: the copy lattice subsumes the constant
      lattice on every bundled suite program — identical solver
      constants, identical per-use constant facts, and at least one
@@ -87,6 +90,30 @@ let laws_tests (e : Registry.entry) : QCheck.Test.t list =
       ]
 
 let all_laws_tests = List.concat_map laws_tests Registry.all
+
+(* The tabulation keys contexts by their entry values and renders each
+   created context's canonical key with [to_string], so for every value
+   domain, over its law elements: two elements are [equal] exactly when
+   their strings are, and equal elements hash alike. *)
+let key_tests (type a) (module D : Ipcp_domains.Domain.S with type t = a)
+    (elem : int -> a) : QCheck.Test.t list =
+  let open QCheck in
+  let name s = Fmt.str "keys %s: %s" D.name s in
+  [
+    Test.make ~count:500 ~name:(name "equal iff same string") (pair int int)
+      (fun (a, b) ->
+        D.equal (elem a) (elem b)
+        = String.equal (D.to_string (elem a)) (D.to_string (elem b)));
+    Test.make ~count:500 ~name:(name "equal implies same hash") (pair int int)
+      (fun (a, b) ->
+        (not (D.equal (elem a) (elem b)))
+        || Hashtbl.hash (elem a) = Hashtbl.hash (elem b));
+  ]
+
+let all_key_tests =
+  key_tests (module CL) Registry.Const.L.elem
+  @ key_tests (module Ipcp_domains.Interval) Registry.Interval.L.elem
+  @ key_tests (module C) Registry.Copyprop.L.elem
 
 (* ------------------------------------------------------------------ *)
 (* Suite-wide helpers *)
@@ -448,6 +475,7 @@ let cli_tests =
 let suites =
   [
     ("framework-laws", List.map QCheck_alcotest.to_alcotest all_laws_tests);
+    ("framework-keys", List.map QCheck_alcotest.to_alcotest all_key_tests);
     ( "framework-zoo",
       [
         Alcotest.test_case "copyprop subsumes const on the suite" `Quick

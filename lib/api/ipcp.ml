@@ -261,22 +261,10 @@ module Session = struct
   let check_open t = if t.s_closed then invalid_arg "Ipcp.Session: closed"
 
   (* changed ∪ transitive callers, over the current call graph — the
-     same closure the incremental engine reanalyzes (lib/incr) *)
+     closure whose summaries the pipeline recomputes — sorted by name *)
   let caller_closure (d : Driver.t) seeds =
-    let module CG = Ipcp_callgraph.Callgraph in
-    let present p = List.mem p d.Driver.symtab.Symtab.order in
-    let seen = Hashtbl.create 16 in
-    let rec go = function
-      | [] -> ()
-      | p :: rest ->
-          if Hashtbl.mem seen p then go rest
-          else begin
-            Hashtbl.add seen p ();
-            go (CG.callers d.Driver.cg p @ rest)
-          end
-    in
-    go (List.filter present seeds);
-    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
+    Ipcp_frontend.Names.SS.elements
+      (Ipcp_callgraph.Callgraph.caller_closure d.Driver.cg seeds)
 
   let parse_source (src : Source.t) =
     Ipcp_obs.Trace.span "frontend:parse" (fun () ->

@@ -297,8 +297,9 @@ module Session : sig
   (** The whole-program content key of the current generation (the
       incremental engine's {!Ipcp_incr.Incr.program_key}): equal keys
       guarantee byte-identical analysis results, so the serve layer
-      uses it to key its response cache — an edit that reverts to a
-      previously-seen program hits warm. *)
+      uses it to key its response cache.  The serve layer evicts a
+      fingerprint's answers when an update replaces it, so an edit that
+      reverts to a previously-seen program recomputes them. *)
 
   val procedures : t -> string list
   (** Procedure names in declaration order. *)

@@ -59,13 +59,22 @@ let callees t p =
   List.map (fun e -> e.e_callee) (Option.value ~default:[] (SM.find_opt p t.out_edges))
   |> List.sort_uniq compare
 
-let callers t p =
-  List.map (fun e -> e.e_caller) (Option.value ~default:[] (SM.find_opt p t.in_edges))
-  |> List.sort_uniq compare
-
 let edges_out t p = Option.value ~default:[] (SM.find_opt p t.out_edges)
 
 let edges_in t p = Option.value ~default:[] (SM.find_opt p t.in_edges)
+
+let caller_closure t seeds =
+  let rec go acc = function
+    | [] -> acc
+    | p :: rest when SS.mem p acc -> go acc rest
+    | p :: rest ->
+        go (SS.add p acc)
+          (List.rev_append
+             (List.rev_map (fun e -> e.e_caller) (edges_in t p))
+             rest)
+  in
+  let procs = SS.of_list t.procs in
+  go SS.empty (List.filter (fun p -> SS.mem p procs) seeds)
 
 (** Procedures reachable from the main program (the paper only analyses
     those; dead procedures keep their T-initialised VAL sets). *)

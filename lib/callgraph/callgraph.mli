@@ -27,15 +27,18 @@ val build : main:string -> order:string list -> Cfg.t SM.t -> t
 val callees : t -> string -> string list
 (** Distinct callees of [p], sorted. *)
 
-val callers : t -> string -> string list
-(** Distinct callers of [p], sorted. *)
-
 val edges_out : t -> string -> edge list
 (** Out-edges of [p] in call-site order ([[]] for leaf procedures). *)
 
 val edges_in : t -> string -> edge list
 (** In-edges of [p] in call-site order ([[]] for the main program and
     dead procedures). *)
+
+val caller_closure : t -> string list -> SS.t
+(** The seeds that are procedures of the graph, plus every procedure
+    that calls one of them, transitively: the set an edit to the seeds
+    invalidates, since a procedure's summaries depend only on its own
+    body and its transitive callees. *)
 
 val reachable_from_main : t -> SS.t
 (** Procedures reachable from the main program (the paper only analyses

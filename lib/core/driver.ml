@@ -13,11 +13,22 @@
        re-evaluation used by the substitution pass ({!final_eval}).
 
     The preparatory analyses (lowering, SSA conversion, call graph, MOD/REF
-    summaries) run before stage 1. *)
+    summaries) run before stage 1.
+
+    [analyze] is the only code that sequences these steps.  The
+    incremental engine (lib/incr) hands it what an earlier run still
+    justifies keeping, as a {!reuse}, and each step takes its part
+    through its own reuse entry point: lowering and SSA skip the kept
+    CFGs, MOD/REF ({!Modref.compute}'s [clean] rows) and stage 1
+    ({!Returnjf.compute}'s [base]) keep the rows of the kept summaries,
+    stage 2 rebuilds their evaluations with {!Symeval.of_artifact}, and
+    stage 3 keeps a stored fixpoint.  With nothing to keep, every step
+    computes everything: the cold run. *)
 
 open Ipcp_frontend.Names
 module Symtab = Ipcp_frontend.Symtab
 module Sema = Ipcp_frontend.Sema
+module Diag = Ipcp_frontend.Diag
 module Cfg = Ipcp_ir.Cfg
 module Ssa = Ipcp_ir.Ssa
 module Lower = Ipcp_ir.Lower
@@ -43,18 +54,51 @@ type t = {
   solver : Solver.t;
 }
 
-(* Parallel lowering.  Call sites are numbered by one counter walking the
-   procedures in declaration order; to lower procedures independently we
-   pre-compute each procedure's site-id offset ({!Lower.site_offsets})
-   and give every task its own counter starting there — the numbering is
-   exactly the sequential one. *)
-let lower_parallel ~jobs (symtab : Symtab.t) : Cfg.t SM.t =
+type summary = {
+  su_eval : Symeval.artifact;
+  su_jfs : Jumpfn.site_jfs list;
+  su_rjf : Symeval.value Returnjf.RT.t;
+  su_modref : (Modref.IS.t * Modref.IS.t) option;
+}
+
+type reuse = {
+  keep_ir : (Cfg.t * Ssa.conv) SM.t;
+  keep_summaries : summary SM.t;
+  keep_fixpoint : Solver.t option;
+}
+
+let no_reuse =
+  { keep_ir = SM.empty; keep_summaries = SM.empty; keep_fixpoint = None }
+
+(* a procedure's summaries depend only on its body and its transitive
+   callees, so the procedures without a stored summary invalidate their
+   callers' *)
+let kept_summaries reuse cg =
+  if SM.is_empty reuse.keep_summaries then SM.empty
+  else
+    let dirty =
+      Callgraph.caller_closure cg
+        (List.filter
+           (fun p -> not (SM.mem p reuse.keep_summaries))
+           cg.Callgraph.procs)
+    in
+    SM.filter (fun p _ -> not (SS.mem p dirty)) reuse.keep_summaries
+
+(* Parallel lowering of every procedure without a kept CFG.  Call sites
+   are numbered by one counter walking the procedures in declaration
+   order; to lower procedures independently we pre-compute each
+   procedure's site-id offset ({!Lower.site_offsets}) and give every task
+   its own counter starting there — the numbering is exactly the
+   sequential one. *)
+let lower_parallel ~jobs ~keep (symtab : Symtab.t) : Cfg.t SM.t =
   let procs = List.map (Symtab.proc symtab) symtab.Symtab.order in
+  let name (psym : Symtab.proc_sym) = psym.Symtab.proc.Ipcp_frontend.Ast.name in
   let tasks =
-    Array.of_list
-      (List.combine procs
-         (Lower.site_offsets
-            (List.map (fun (psym : Symtab.proc_sym) -> psym.Symtab.proc) procs)))
+    List.combine procs
+      (Lower.site_offsets
+         (List.map (fun (psym : Symtab.proc_sym) -> psym.Symtab.proc) procs))
+    |> List.filter (fun (psym, _) -> not (SM.mem (name psym) keep))
+    |> Array.of_list
   in
   let costs =
     Array.map (fun ((psym : Symtab.proc_sym), _) ->
@@ -65,14 +109,15 @@ let lower_parallel ~jobs (symtab : Symtab.t) : Cfg.t SM.t =
     (fun acc (name, cfg) -> SM.add name cfg acc)
     SM.empty
     (Pool.map_array ~jobs ~costs ~seq_below:Pool.default_seq_cost
-       (fun ((psym : Symtab.proc_sym), off) ->
-         let p = psym.Symtab.proc.Ipcp_frontend.Ast.name in
+       (fun (psym, off) ->
+         let p = name psym in
          ( p,
            Metrics.time_key "proc_ns.lower/" p (fun () ->
                Lower.lower_proc symtab ~site_counter:(ref off) psym) ))
        tasks)
 
-let analyze ?(config = Config.default) (symtab : Symtab.t) : t =
+let analyze ?(config = Config.default) ?(reuse = no_reuse) (symtab : Symtab.t)
+    : t =
   Trace.span "analyze" @@ fun () ->
   let jobs = max 1 config.Config.jobs in
   (* A parallel verification fan-out gets one coordinator-side span so
@@ -86,33 +131,40 @@ let analyze ?(config = Config.default) (symtab : Symtab.t) : t =
   in
   let cfg_cost _ cfg = Cfg.weight cfg in
   let conv_cost _ (conv : Ssa.conv) = Cfg.weight conv.Ssa.ssa in
-  (* preparation *)
-  (* [lower_parallel] reduces to the sequential map at [jobs = 1] (the
-     pool combinators fall back), and either way carries the
-     per-procedure timers *)
-  let cfgs =
-    Trace.span "prepare:lower" (fun () -> lower_parallel ~jobs symtab)
+  (* preparation, of the procedures without a kept CFG and SSA form (the
+     run that built those verified them).  [lower_parallel] reduces to
+     the sequential map at [jobs = 1] (the pool combinators fall back),
+     and either way carries the per-procedure timers *)
+  let lowered =
+    Trace.span "prepare:lower" (fun () ->
+        lower_parallel ~jobs ~keep:reuse.keep_ir symtab)
   in
   if config.Config.verify_ir then
     verify_fanout cfg_cost
       (fun _ cfg -> Verify.expect_ok ~what:"lowering" (Verify.check_lowered ~symtab cfg))
-      cfgs;
-  let convs =
+      lowered;
+  let converted =
     let ssa_one p cfg =
       Metrics.time_key "proc_ns.ssa/" p (fun () -> Ssa.convert_full cfg)
     in
     Trace.span "prepare:ssa" (fun () ->
-        if jobs <= 1 then SM.mapi ssa_one cfgs
+        if jobs <= 1 then SM.mapi ssa_one lowered
         else
           Pool.map_sm ~jobs ~cost:cfg_cost ~seq_below:Pool.default_seq_cost
-            ssa_one cfgs)
+            ssa_one lowered)
   in
   if config.Config.verify_ir then
     verify_fanout conv_cost
       (fun _ (conv : Ssa.conv) ->
         Verify.expect_ok ~what:"SSA construction"
           (Verify.check_ssa ~symtab conv.Ssa.ssa))
-      convs;
+      converted;
+  let cfgs =
+    SM.fold (fun p (cfg, _) m -> SM.add p cfg m) reuse.keep_ir lowered
+  in
+  let convs =
+    SM.fold (fun p (_, conv) m -> SM.add p conv m) reuse.keep_ir converted
+  in
   let cg =
     Trace.span "prepare:callgraph" (fun () ->
         Callgraph.build ~main:symtab.Symtab.main ~order:symtab.Symtab.order
@@ -121,52 +173,96 @@ let analyze ?(config = Config.default) (symtab : Symtab.t) : t =
   (* the SCC condensation is shared by stage 1's bottom-up walk and the
      solver's priority worklist *)
   let scc = Trace.span "prepare:scc" (fun () -> Scc.compute cg) in
+  let kept = kept_summaries reuse cg in
   let modref =
     Trace.span "prepare:modref" (fun () ->
-        if config.Config.use_mod then Some (Modref.compute symtab cfgs cg)
+        if config.Config.use_mod then
+          Some
+            (Modref.compute
+               ~clean:(SM.filter_map (fun _ su -> su.su_modref) kept)
+               symtab cfgs cg)
         else None)
   in
   (* stage 1: return jump functions *)
   let rjfs =
     Trace.span "stage1:return-jump-functions" (fun () ->
         if config.Config.return_jfs then
-          Returnjf.compute ~scc ~symtab ~modref ~convs ~cg
-            ~symbolic:config.Config.symbolic_returns ()
+          Returnjf.compute ~scc ~base:(SM.map (fun su -> su.su_rjf) kept)
+            ~symtab ~modref ~convs ~cg ~symbolic:config.Config.symbolic_returns
+            ()
         else Returnjf.empty)
   in
   (* stage 2: forward jump functions — symbolic evaluation and the jump
      functions of each procedure's sites, fused per procedure so one
-     parallel fan-out covers both *)
+     parallel fan-out covers both.  A kept summary rebuilds its
+     evaluation against the procedure's SSA form and replays its jump
+     functions when the CFG is kept too; a re-lowered procedure gets them
+     rebuilt, with its fresh source locations. *)
   let evals, jfs =
     Trace.span "stage2:jump-functions" @@ fun () ->
     let policy =
       Returnjf.policy ~symtab ~modref ~rjfs
         ~symbolic:config.Config.symbolic_returns
     in
+    let jump_functions ev =
+      List.map
+        (Jumpfn.of_site ~symtab ~kind:config.Config.jf ev)
+        ev.Symeval.cfg.Cfg.sites
+    in
     let pairs =
       Pool.map_sm ~jobs ~cost:conv_cost ~seq_below:Pool.default_seq_cost
         (fun p (conv : Ssa.conv) ->
-          Metrics.time_key "proc_ns.stage2/" p @@ fun () ->
-          let ev =
-            Symeval.run ~symtab ~psym:(Symtab.proc symtab p) ~policy
-              conv.Ssa.ssa
-          in
-          let sjs =
-            List.map
-              (Jumpfn.of_site ~symtab ~kind:config.Config.jf ev)
-              ev.Symeval.cfg.Cfg.sites
-          in
-          (ev, sjs))
+          match SM.find_opt p kept with
+          | None ->
+              Metrics.time_key "proc_ns.stage2/" p @@ fun () ->
+              let ev =
+                Symeval.run ~symtab ~psym:(Symtab.proc symtab p) ~policy
+                  conv.Ssa.ssa
+              in
+              (ev, jump_functions ev)
+          | Some su ->
+              Metrics.time_key "proc_ns.rehydrate/" p @@ fun () ->
+              let ev = Symeval.of_artifact conv.Ssa.ssa su.su_eval in
+              ( ev,
+                if SM.mem p reuse.keep_ir then su.su_jfs
+                else jump_functions ev ))
         convs
     in
     (SM.map fst pairs, SM.map snd pairs)
   in
-  (* stage 3: interprocedural propagation *)
-  let solver =
+  (* stage 3: interprocedural propagation.  A kept fixpoint is only ever
+     the whole program's (never a resumed stale one, which could pin a
+     parameter at a constant the edited program no longer justifies);
+     behind [verify_ir] a fresh solve must reproduce it. *)
+  let solve () =
     Trace.span "stage3:propagate" (fun () ->
         Solver.solve ~scc ~symtab ~cg ~jfs ())
   in
+  let solver =
+    match reuse.keep_fixpoint with
+    | None -> solve ()
+    | Some fixpoint ->
+        if
+          config.Config.verify_ir
+          && not
+               (SM.equal (SM.equal Clattice.equal) (solve ()).Solver.vals
+                  fixpoint.Solver.vals)
+        then
+          Diag.error Diag.Analysis Ipcp_frontend.Loc.dummy
+            "incremental cache verification failed: warm fixpoint differs \
+             from a fresh solve (clear the cache directory to recover)";
+        fixpoint
+  in
   { config; symtab; cfgs; convs; cg; modref; rjfs; evals; jfs; solver }
+
+let summary t p =
+  {
+    su_eval = Symeval.to_artifact (SM.find p t.evals);
+    su_jfs = SM.find p t.jfs;
+    su_rjf = Option.value ~default:Returnjf.RT.empty (SM.find_opt p t.rjfs);
+    su_modref =
+      Option.map (fun m -> (Modref.mod_of m p, Modref.ref_of m p)) t.modref;
+  }
 
 (** CONSTANTS(p). *)
 let constants t p = Solver.constants t.solver p

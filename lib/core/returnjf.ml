@@ -185,22 +185,22 @@ let of_proc ~(symtab : Symtab.t) ~(modref : Modref.t option) ~(rjfs : t)
   !targets
 
 (** Build all return jump functions, bottom-up over the call graph.
-    [?scc] reuses an already-computed condensation of [cg].  [?reuse]
-    (with [?base]) lets the incremental engine keep a procedure's stored
-    functions instead of re-running its symbolic evaluation: a procedure
-    for which [reuse p] holds takes its entry from [base] verbatim.
-    Sound only when [p] and everything [p] transitively calls are
-    unchanged since [base] was computed. *)
-let compute ?scc ?(base : t = empty) ?(reuse = fun (_ : string) -> false)
-    ~(symtab : Symtab.t) ~(modref : Modref.t option)
-    ~(convs : Ssa.conv SM.t) ~(cg : Callgraph.t) ~symbolic () : t =
+    [?scc] reuses an already-computed condensation of [cg].  [?base]
+    lets the incremental engine keep a procedure's stored functions
+    instead of re-running its symbolic evaluation: a procedure with an
+    entry in [base] takes it verbatim.  Sound only when [p] and
+    everything [p] transitively calls are unchanged since [base] was
+    computed. *)
+let compute ?scc ?(base : t = empty) ~(symtab : Symtab.t)
+    ~(modref : Modref.t option) ~(convs : Ssa.conv SM.t) ~(cg : Callgraph.t)
+    ~symbolic () : t =
   let scc = match scc with Some s -> s | None -> Scc.compute cg in
   List.fold_left
     (fun rjfs comp ->
       (* within an SCC, callee functions default to ⊥ (absent) *)
       List.fold_left
         (fun rjfs p ->
-          match if reuse p then SM.find_opt p base else None with
+          match SM.find_opt p base with
           | Some entry -> SM.add p entry rjfs
           | None ->
               let psym = Symtab.proc symtab p in

@@ -50,7 +50,6 @@ val policy :
 val compute :
   ?scc:Ipcp_callgraph.Scc.t ->
   ?base:t ->
-  ?reuse:(string -> bool) ->
   symtab:Symtab.t ->
   modref:Modref.t option ->
   convs:Ssa.conv Ipcp_frontend.Names.SM.t ->
@@ -61,8 +60,8 @@ val compute :
 (** Build all return jump functions, bottom-up over the SCC condensation.
     Within a recursive component, not-yet-available callee functions are ⊥
     (conservative).  [?scc] reuses an already-computed condensation.
-    [?reuse] (with [?base]) keeps a procedure's stored functions instead
-    of recomputing them — sound only when the procedure and its transitive
-    callees are unchanged since [base] was computed. *)
+    A procedure with a row in [?base] keeps it instead of recomputing it —
+    sound only when the procedure and its transitive callees are
+    unchanged since [base] was computed. *)
 
 val pp : t Fmt.t

@@ -3,13 +3,16 @@
     Every per-procedure artifact of the pipeline depends only on that
     procedure's resolved AST and its transitive callees, so after an
     edit only the changed procedures and their transitive {e callers}
-    (the SCC-condensation upstream closure) are rebuilt; everything else
-    is replayed from a persistent on-disk cache (see {!Store}).  The
-    converged propagation fixpoint and the substitution result are
-    whole-program artifacts, replayed only on an exact content match and
-    otherwise re-solved from ⊤ — never resumed from stale values.
-    Behind [Config.verify_ir], a replayed fixpoint is checked against a
-    fresh solve (warm ≡ cold). *)
+    (their caller closure) are rebuilt; everything else is kept from a
+    persistent on-disk snapshot (see {!Store}).  This module decides what
+    the snapshot still justifies keeping and hands it to
+    {!Ipcp_core.Driver.analyze} as its reuse input; the driver runs the
+    pipeline, cold or warm, so a cached run without a usable snapshot is
+    the cold run.  The converged propagation fixpoint and the
+    substitution result are whole-program artifacts, replayed only on an
+    exact content match and otherwise re-solved from ⊤ — never resumed
+    from stale values.  Behind [Config.verify_ir], a replayed fixpoint is
+    checked against a fresh solve (warm ≡ cold). *)
 
 module Symtab = Ipcp_frontend.Symtab
 module Config = Ipcp_core.Config

@@ -15,14 +15,16 @@ module P = Protocol
 (* Sharded response cache.
 
    Keyed by [<program fingerprint>:<method>:<canonical params>], so an
-   entry is valid for as long as any session's program has that content
-   — an edit that reverts to a previously-served program hits warm, and
-   two sessions holding the same program share entries.  Values are the
-   serialized [result] payloads (the response id is spliced on around
-   them).  Shards bound contention from concurrent batch groups; the
-   per-shard capacity bounds resident memory (a full shard is cleared
-   wholesale — coarse, but eviction precision is worthless for a cache
-   this cheap to refill). *)
+   entry is valid for as long as any session's program has that content,
+   and two sessions holding the same program share entries.  An [update]
+   that changes a session's fingerprint, and an [invalidate], evict the
+   previous fingerprint's entries (another session's included), so an
+   edit that reverts to an earlier program recomputes its answers.
+   Values are the serialized [result] payloads (the response id is
+   spliced on around them).  Shards bound contention from concurrent
+   batch groups; the per-shard capacity bounds resident memory (a full
+   shard is cleared wholesale — coarse, but eviction precision is
+   worthless for a cache this cheap to refill). *)
 module Rcache = struct
   let shard_count = 16
   let shard_cap = 128
@@ -377,9 +379,14 @@ let exec_session t (se : session_entry) memo (rq : P.request) =
               Option.value ~default:(Ipcp.Source.file (S.source s))
                 (P.param_str rq "file")
             in
+            let previous = S.fingerprint s in
             match S.update s (Ipcp.Source.of_string ~file source) with
             | Error e -> P.err (Some id) P.analysis_error e
             | Ok d ->
+                (* the superseded generation's answers would only pin
+                   memory until their shard fills *)
+                if S.fingerprint s <> previous then
+                  Rcache.evict_prefix t.sv_rcache (previous ^ ":");
                 P.ok id
                   (Json.Obj
                      [

@@ -125,13 +125,14 @@ let bind_site (psym : Symtab.proc_sym) (s : Instr.site) (q_set : IS.t) =
     q_set;
   !acc
 
-(* bottom-up fixpoint over the condensation, iterating only [active]
-   procedures; entries for inactive procedures in the initial maps are
-   taken as final (their callees must be inactive too for this to be
-   sound — the incremental engine guarantees it by closing the dirty set
-   under callers) *)
+(* bottom-up fixpoint over the condensation, iterating only the
+   procedures with an immediate row in [imm]; the others' entries in the
+   initial maps are taken as final (their callees must be final too for
+   this to be sound — the incremental engine guarantees it by closing the
+   dirty set under callers) *)
 let fixpoint (symtab : Symtab.t) (cg : Callgraph.t) ~(imm : (IS.t * IS.t) SM.t)
-    ~(mods0 : IS.t SM.t) ~(refs0 : IS.t SM.t) ~(active : string -> bool) : t =
+    ~(mods0 : IS.t SM.t) ~(refs0 : IS.t SM.t) : t =
+  let active p = SM.mem p imm in
   let scc = Scc.compute cg in
   let mods = ref mods0 in
   let refs = ref refs0 in
@@ -186,39 +187,15 @@ let fixpoint (symtab : Symtab.t) (cg : Callgraph.t) ~(imm : (IS.t * IS.t) SM.t)
   done;
   { mod_ = !mods; ref_ = !refs }
 
-let compute (symtab : Symtab.t) (cfgs : Cfg.t SM.t) (cg : Callgraph.t) : t =
+let compute ?(clean = SM.empty) (symtab : Symtab.t) (cfgs : Cfg.t SM.t)
+    (cg : Callgraph.t) : t =
   let imm =
     SM.mapi
       (fun name cfg -> immediate (Symtab.proc symtab name) cfg)
-      cfgs
+      (SM.filter (fun name _ -> not (SM.mem name clean)) cfgs)
   in
-  fixpoint symtab cg ~imm ~mods0:(SM.map fst imm) ~refs0:(SM.map snd imm)
-    ~active:(fun _ -> true)
-
-let rows (t : t) : (IS.t * IS.t) SM.t =
-  SM.mapi
-    (fun p m -> (m, Option.value ~default:IS.empty (SM.find_opt p t.ref_)))
-    t.mod_
-
-let compute_partial (symtab : Symtab.t) (cfgs : Cfg.t SM.t) (cg : Callgraph.t)
-    ~(clean : (IS.t * IS.t) SM.t) ~(dirty : SS.t) : t =
-  let imm =
-    SM.fold
-      (fun name cfg acc ->
-        if SS.mem name dirty then
-          SM.add name (immediate (Symtab.proc symtab name) cfg) acc
-        else acc)
-      cfgs SM.empty
-  in
-  let init pick_imm pick_clean =
-    SM.mapi
-      (fun name _ ->
-        if SS.mem name dirty then pick_imm (SM.find name imm)
-        else pick_clean (SM.find name clean))
-      cfgs
-  in
-  fixpoint symtab cg ~imm ~mods0:(init fst fst) ~refs0:(init snd snd)
-    ~active:(fun p -> SS.mem p dirty)
+  let rows = SM.union (fun _ row _ -> Some row) imm clean in
+  fixpoint symtab cg ~imm ~mods0:(SM.map fst rows) ~refs0:(SM.map snd rows)
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)

@@ -18,23 +18,13 @@ module IS : Set.S with type elt = item
 
 type t
 
-val compute : Symtab.t -> Cfg.t SM.t -> Callgraph.t -> t
-
-val rows : t -> (IS.t * IS.t) SM.t
-(** Per-procedure [(MOD, REF)] rows — plain data for persistence. *)
-
-val compute_partial :
-  Symtab.t ->
-  Cfg.t SM.t ->
-  Callgraph.t ->
-  clean:(IS.t * IS.t) SM.t ->
-  dirty:SS.t ->
-  t
-(** Recompute only the [dirty] procedures' summaries, taking every other
-    procedure's row from [clean] as final.  Sound only when no procedure
-    outside [dirty] (transitively) calls into [dirty] — the incremental
-    engine guarantees this by closing the dirty set under callers.
-    [clean] ∪ [dirty] must cover the domain of the CFG map. *)
+val compute :
+  ?clean:(IS.t * IS.t) SM.t -> Symtab.t -> Cfg.t SM.t -> Callgraph.t -> t
+(** The MOD and REF sets of every procedure.  A procedure with a
+    [(MOD, REF)] row in [clean] keeps it as final, and only the others
+    are recomputed.  Sound only when no procedure with a row
+    (transitively) calls one without — the incremental engine guarantees
+    this by closing its dirty set under callers. *)
 
 val mod_of : t -> string -> IS.t
 

@@ -76,8 +76,9 @@ let callgraph_tests =
         let _, _, cg = setup src_diamond in
         Alcotest.(check (list string)) "main calls" [ "a"; "b" ]
           (Callgraph.callees cg "main");
-        Alcotest.(check (list string)) "c's callers" [ "a"; "b" ]
-          (Callgraph.callers cg "c");
+        Alcotest.(check (list string)) "c's transitive callers"
+          [ "a"; "b"; "c"; "main" ]
+          (SS.elements (Callgraph.caller_closure cg [ "c"; "nope" ]));
         Alcotest.(check int) "c has two in-edges" 2
           (List.length (Callgraph.edges_in cg "c"));
         Alcotest.(check bool) "all reachable" true

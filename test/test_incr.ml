@@ -13,6 +13,9 @@ module Generator = Ipcp_gen.Generator
 module Obs = Ipcp_obs.Obs
 module Metrics = Ipcp_obs.Metrics
 module Ipcp = Ipcp_api.Ipcp
+module Driver = Ipcp_core.Driver
+module Returnjf = Ipcp_core.Returnjf
+module Modref = Ipcp_summary.Modref
 
 (* a fresh, empty cache directory per test *)
 let fresh_dir () =
@@ -348,8 +351,10 @@ let store_tests =
     Alcotest.test_case "format-version skew reads as stale, run goes cold"
       `Quick
       (fun () ->
-        (* a future version, and the previous one (whose snapshots
-           replay statistics this version no longer produces) *)
+        (* a future version, and the two before this one: version 3's
+           snapshots replay statistics this version no longer produces,
+           and version 4's hold a procedure's summaries in the layout
+           before [Driver.summary] *)
         List.iter
           (fun version ->
             with_obs @@ fun () ->
@@ -375,7 +380,7 @@ let store_tests =
               "cold" true
               ((report warm).Ipcp.Cache.r_cold <> None);
             Alcotest.(check int) "counted as stale" 1 stale)
-          [ 9999; Store.format_version - 1 ]);
+          [ 9999; 4; 3 ]);
     Alcotest.test_case "corrupted payload reads as corrupt, run goes cold"
       `Quick
       (fun () ->
@@ -487,7 +492,178 @@ let edit_sequence_prop =
           observable (analyze ~cache src) = observable (analyze src))
         edits)
 
-let qcheck_tests = [ QCheck_alcotest.to_alcotest edit_sequence_prop ]
+(* Warm ≡ cold on partly dirty runs: generated 40-procedure mixed and
+   cyclic programs under the two single-procedure edits a save makes in
+   the edit-1k benchmark — a literal changed in place (a content-tier
+   miss for one procedure) and a PRINT inserted before a procedure's END
+   (which also moves the source locations of every later procedure, an
+   exact-tier miss for each).  Each edit is analysed against the cache
+   the previous version left, at the default jobs, and compared with a
+   cache-less jobs-1 analysis. *)
+
+type edit =
+  | Literal of int * int * int
+      (** procedure index, which of its literal assignments, new value *)
+  | Insert of int * int  (** procedure index, printed value *)
+
+(* [Some (k, v)] when [line] assigns the literal [v] to a variable, with
+   its '=' at index [k] *)
+let literal_assignment line =
+  match String.index_opt line '=' with
+  | None -> None
+  | Some k -> (
+      let lhs = String.trim (String.sub line 0 k) in
+      let rhs = String.sub line (k + 1) (String.length line - k - 1) in
+      let ident_char c =
+        c = '_' || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
+      in
+      match int_of_string_opt (String.trim rhs) with
+      | Some v when lhs <> "" && String.for_all ident_char lhs -> Some (k, v)
+      | _ -> None)
+
+let apply_edit src edit =
+  let ls = Array.of_list (String.split_on_char '\n' src) in
+  let ends =
+    List.filter
+      (fun i -> String.trim ls.(i) = "END")
+      (List.init (Array.length ls) Fun.id)
+  in
+  (* procedure [i]'s lines, from after the previous END to its own *)
+  let block i =
+    let b = i mod List.length ends in
+    ((if b = 0 then 0 else List.nth ends (b - 1) + 1), List.nth ends b)
+  in
+  let insert last v =
+    String.concat "\n"
+      (Array.to_list (Array.sub ls 0 last)
+      @ [ Fmt.str "  PRINT *, %d" v ]
+      @ Array.to_list (Array.sub ls last (Array.length ls - last)))
+  in
+  match edit with
+  | Insert (i, v) -> insert (snd (block i)) v
+  | Literal (i, j, v) -> (
+      let first, last = block i in
+      let literals =
+        List.filter_map
+          (fun l -> Option.map (fun kv -> (l, kv)) (literal_assignment ls.(l)))
+          (List.init (last - first) (fun n -> first + n))
+      in
+      match literals with
+      | [] -> insert last v
+      | _ ->
+          let l, (k, old) = List.nth literals (j mod List.length literals) in
+          ls.(l) <-
+            Fmt.str "%s= %d" (String.sub ls.(l) 0 k)
+              (if v = old then v + 1 else v);
+          String.concat "\n" (Array.to_list ls))
+
+(* the procedure an edit touches, by name *)
+let edited_proc src edit =
+  let (Literal (i, _, _) | Insert (i, _)) = edit in
+  let symtab = Sema.parse_and_analyze ~file:"<edit>" src in
+  List.nth symtab.Symtab.order (i mod List.length symtab.Symtab.order)
+
+(* counters that count a run's work rather than its result: a warm run
+   does less of that work than a cold one, never more *)
+let work_counter k =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix k)
+    [ "symeval."; "jumpfn.built."; "verify." ]
+
+let partly_dirty_prop =
+  QCheck.Test.make ~count:10
+    ~name:"warm equals cold after edits to generated 40-procedure programs"
+    QCheck.(
+      triple (int_bound 1000) bool
+        (list_of_size (Gen.int_range 1 3)
+           (quad (int_bound 40) bool (int_bound 20) (int_range (-10) 39))))
+    (fun (seed, cyclic, edits) ->
+      with_obs @@ fun () ->
+      let shape = if cyclic then Generator.Cyclic else Generator.Mixed in
+      let src0 =
+        Generator.generate
+          ~params:{ Generator.default with Generator.seed; shape; n_procs = 40 }
+          ()
+      in
+      let cache = Ipcp.Cache.Dir (fresh_dir ()) in
+      let warm_config = Config.default in
+      ignore (analyze ~config:warm_config ~cache src0);
+      ignore
+        (List.fold_left
+           (fun src (i, literal, j, v) ->
+             let edit = if literal then Literal (i, j, v) else Insert (i, v) in
+             let src' = apply_edit src edit in
+             let target = edited_proc src' edit in
+             let warm = analyze ~config:warm_config ~cache src' in
+             let cold = analyze src' in
+             let facts (r : Ipcp.Result.t) =
+               let d = Ipcp.Result.driver r in
+               let ranges = Ipcp.Result.ranges r in
+               let findings, verdicts =
+                 Ipcp.Result.lints_with_verdicts ~ranges r
+               in
+               ( observable r,
+                 Ipcp.Result.census r,
+                 Ipcp.Result.solver_stats r,
+                 Ipcp.Result.convergence r,
+                 Ipcp_obs.Json.to_string (Ipcp_core.Ranges.json ranges),
+                 Ipcp_analysis.Lint.render_json ~verdicts findings,
+                 (* what stage 3 consumes, kept or rebuilt: jump
+                    functions with their call sites, return jump
+                    functions and MOD/REF rows *)
+                 ( Names.SM.bindings d.Driver.jfs,
+                   List.map
+                     (fun (p, rt) -> (p, Returnjf.RT.bindings rt))
+                     (Names.SM.bindings d.Driver.rjfs),
+                   List.map
+                     (fun p ->
+                       Option.map
+                         (fun m ->
+                           (Modref.IS.elements (Modref.mod_of m p),
+                            Modref.IS.elements (Modref.ref_of m p)))
+                         d.Driver.modref)
+                     (Ipcp.Result.procedures r) ) )
+             in
+             let outcome r =
+               List.filter
+                 (fun (k, _) -> not (work_counter k))
+                 (Ipcp.Result.stats r)
+             in
+             let c = report warm in
+             let dirty =
+               Ipcp_callgraph.Callgraph.caller_closure
+                 (Ipcp.Result.driver cold).Driver.cg [ target ]
+             in
+             if facts warm <> facts cold then
+               QCheck.Test.fail_reportf "%s: warm facts differ from cold" target;
+             if outcome warm <> outcome cold then
+               QCheck.Test.fail_reportf "%s: warm counters differ from cold"
+                 target;
+             List.iter
+               (fun (k, n) ->
+                 if work_counter k
+                    && n > Option.value ~default:0
+                             (List.assoc_opt k (Ipcp.Result.stats cold))
+                 then
+                   QCheck.Test.fail_reportf "%s: warm %s = %d exceeds cold's"
+                     target k n)
+               (Ipcp.Result.stats warm);
+             if
+               c.Ipcp.Cache.r_cold <> None
+               || c.Ipcp.Cache.r_changed <> 1
+               || c.Ipcp.Cache.r_dirty <> Names.SS.cardinal dirty
+               || c.Ipcp.Cache.r_fixpoint_reused
+             then
+               QCheck.Test.fail_reportf
+                 "%s: report changed %d dirty %d, expected 1 and %d" target
+                 c.Ipcp.Cache.r_changed c.Ipcp.Cache.r_dirty
+                 (Names.SS.cardinal dirty);
+             src')
+           src0 edits);
+      true)
+
+let qcheck_tests =
+  List.map QCheck_alcotest.to_alcotest [ edit_sequence_prop; partly_dirty_prop ]
 
 let suites =
   [

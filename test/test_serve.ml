@@ -279,7 +279,7 @@ let batch_tests =
               Option.bind (Json.member "hits" c) Json.to_int)
         in
         Alcotest.(check bool) "cache hit recorded" true (hits >= Some 1));
-    Alcotest.test_case "edit-and-revert hits the content key" `Quick
+    Alcotest.test_case "edit-and-revert answers byte-identically" `Quick
       (fun () ->
         let sv = server () in
         ignore
@@ -302,6 +302,39 @@ let batch_tests =
         Alcotest.(check string)
           "reverted program answers byte-identically" (payload_of first)
           (payload_of reverted));
+    Alcotest.test_case "update evicts the superseded generation's answers"
+      `Quick
+      (fun () ->
+        let sv = server () in
+        let entries id =
+          Option.bind
+            (Json.member "cache"
+               (result_of (Server.handle_line sv (frame id "stats"))))
+            (fun c -> Option.bind (Json.member "entries" c) Json.to_int)
+        in
+        ignore
+          (Server.handle_line sv
+             (frame 1 "open" ~params:[ ("source", Json.Str src) ]));
+        ignore
+          (Server.handle_line sv (frame 2 "analyze" ~params:(session_params 1)));
+        Alcotest.(check (option int)) "one answer cached" (Some 1) (entries 3);
+        ignore
+          (Server.handle_line sv
+             (frame 4 "update"
+                ~params:(("source", Json.Str src_b) :: session_params 1)));
+        ignore
+          (Server.handle_line sv (frame 5 "analyze" ~params:(session_params 1)));
+        Alcotest.(check (option int))
+          "only the current generation's answer is cached" (Some 1)
+          (entries 6);
+        (* an update that keeps the fingerprint keeps its answers *)
+        ignore
+          (Server.handle_line sv
+             (frame 7 "update"
+                ~params:
+                  (("source", Json.Str ("\n" ^ src_b)) :: session_params 1)));
+        Alcotest.(check (option int)) "same content, answer kept" (Some 1)
+          (entries 8));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -935,7 +935,7 @@ let profile_cmd =
         c.Ipcp.Cache.r_summary_reused c.Ipcp.Cache.r_procs
         (if c.Ipcp.Cache.r_fixpoint_reused then "replayed" else "recomputed");
       (if get "incr.load.bytes" > 0 then
-         Fmt.pr "  snapshot loaded: %d bytes@." (get "incr.load.bytes"));
+         Fmt.pr "  cache read: %d bytes@." (get "incr.load.bytes"));
       let bytes =
         List.filter_map
           (fun (k, v) ->
@@ -948,7 +948,7 @@ let profile_cmd =
       in
       if bytes <> [] then begin
         let total = List.fold_left (fun a (_, b) -> a + b) 0 bytes in
-        Fmt.pr "  snapshot written: %d bytes across %d procedure(s); largest:@."
+        Fmt.pr "  objects written: %d bytes across %d procedure(s); largest:@."
           total (List.length bytes);
         List.iteri
           (fun i (p, b) ->
@@ -995,22 +995,32 @@ let cache_cmd =
         match Ipcp.Cache.entries dir with
         | [] -> Fmt.pr "%s: no cache entries@." dir
         | es ->
-            let bytes = ref 0 in
+            let bytes = ref 0 and objects = ref 0 in
             List.iter
               (fun (e : Ipcp.Cache.entry) ->
                 bytes := !bytes + e.Ipcp.Cache.ei_bytes;
-                Fmt.pr "%-52s %8d  %s@." e.Ipcp.Cache.ei_file
-                  e.Ipcp.Cache.ei_bytes
+                objects := !objects + e.Ipcp.Cache.ei_objects;
+                Fmt.pr "%-52s %8d %6d  %s@." e.Ipcp.Cache.ei_file
+                  e.Ipcp.Cache.ei_bytes e.Ipcp.Cache.ei_objects
                   (match e.Ipcp.Cache.ei_status with
                   | Ok () -> "ok"
                   | Error err -> Ipcp.Cache.describe_error err))
               es;
-            Fmt.pr "%d entr%s, %d bytes@." (List.length es)
+            Fmt.pr "%d entr%s, %d objects, %d bytes@." (List.length es)
               (if List.length es = 1 then "y" else "ies")
-              !bytes)
+              !objects !bytes;
+            (* a damaged entry or object would only cost a recomputation,
+               but it is a fault of whatever wrote or pruned it *)
+            if List.exists (fun (e : Ipcp.Cache.entry) -> Result.is_error e.Ipcp.Cache.ei_status) es
+            then exit 1)
   in
   Cmd.v
-    (Cmd.info "cache" ~doc:"Inspect or clear an incremental cache directory.")
+    (Cmd.info "cache"
+       ~doc:
+         "Inspect or clear an incremental cache directory.  $(b,stat) lists \
+          each cached source's manifest with the bytes and number of the \
+          per-procedure objects it names, and exits 1 when a manifest or \
+          an object it names is missing or damaged.")
     Term.(const run $ action_arg $ dir_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -478,10 +478,23 @@ type verdict_totals = { n_safe : int; n_fault : int; n_unknown : int }
 
 let no_verdicts = { n_safe = 0; n_fault = 0; n_unknown = 0 }
 
-let run_with_verdicts ?(enabled = fun _ -> true) ?ranges (t : Driver.t) :
-    finding list * verdict_totals =
+let run_with_verdicts ?(enabled = fun _ -> true) ?ranges ?procs (t : Driver.t)
+    : finding list * verdict_totals =
   let symtab = t.Driver.symtab in
-  let cu = Substitute.constant_uses t in
+  (* a subset runs stage 4, liveness and the AST walk for its own
+     procedures only; every other input is whole-program already *)
+  let procs =
+    Option.map (List.filter (fun p -> SM.mem p t.Driver.cfgs)) procs
+  in
+  let order, cfgs =
+    match procs with
+    | None -> (symtab.Symtab.order, t.Driver.cfgs)
+    | Some ps ->
+        let set = SS.of_list ps in
+        ( List.filter (fun p -> SS.mem p set) symtab.Symtab.order,
+          SM.filter (fun p _ -> SS.mem p set) t.Driver.cfgs )
+  in
+  let cu = Substitute.constant_uses ?procs t in
   let rf = Option.map (fun (r : Ranges.t) -> r.Ranges.facts) ranges in
   let reachable_procs = Callgraph.reachable_from_main t.Driver.cg in
   let findings = ref [] in
@@ -560,15 +573,14 @@ let run_with_verdicts ?(enabled = fun _ -> true) ?ranges (t : Driver.t) :
         conv.Ssa.ssa;
       (* E001 / E002 / W003 (/ W008): the AST walk over the facts *)
       walk_proc ~add ~cu ~rf ~tally ~psym proc)
-    symtab.Symtab.order;
+    order;
   (* W009: source assignments whose stored value is dead (liveness over
      the lowered CFG, computed by the generic engine's backward instance) *)
   List.iter
     (fun (p, v, loc) ->
       add_in p Dead_store loc
         (Fmt.str "value assigned to %s is never used" v))
-    (Live.dead_stores t.Driver.cfgs
-       (Live.all t.Driver.symtab t.Driver.cfgs));
+    (Live.dead_stores cfgs (Live.all t.Driver.symtab cfgs));
   ( List.sort
       (fun a b ->
         match Loc.compare a.f_loc b.f_loc with
@@ -577,8 +589,8 @@ let run_with_verdicts ?(enabled = fun _ -> true) ?ranges (t : Driver.t) :
       (List.rev !findings),
     !totals )
 
-let run ?enabled ?ranges (t : Driver.t) : finding list =
-  fst (run_with_verdicts ?enabled ?ranges t)
+let run ?enabled ?ranges ?procs (t : Driver.t) : finding list =
+  fst (run_with_verdicts ?enabled ?ranges ?procs t)
 
 (* ------------------------------------------------------------------ *)
 (* Summaries and rendering *)

@@ -74,17 +74,27 @@ val pp_finding : finding Fmt.t
     zero when no range facts were supplied. *)
 type verdict_totals = { n_safe : int; n_fault : int; n_unknown : int }
 
-val run : ?enabled:(check -> bool) -> ?ranges:Ranges.t -> Driver.t -> finding list
+val run :
+  ?enabled:(check -> bool) ->
+  ?ranges:Ranges.t ->
+  ?procs:string list ->
+  Driver.t ->
+  finding list
 (** All findings over the analyzed program, sorted by source location.
     [enabled] filters checks (default: all); [ranges] supplies the
-    interval facts behind the range-backed checks. *)
+    interval facts behind the range-backed checks.  [procs] restricts
+    the findings to those procedures, and the work (stage 4, liveness
+    and the AST walk) to them too: the result is the whole program's
+    findings filtered to [procs]. *)
 
 val run_with_verdicts :
   ?enabled:(check -> bool) ->
   ?ranges:Ranges.t ->
+  ?procs:string list ->
   Driver.t ->
   finding list * verdict_totals
-(** {!run} plus the verdict census of the fault-candidate sites. *)
+(** {!run} plus the verdict census of the fault-candidate sites (of
+    [procs] only, when given). *)
 
 val summary : finding list -> int * int * int
 (** (errors, warnings, infos). *)

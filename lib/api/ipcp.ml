@@ -67,10 +67,11 @@ module Cache = struct
   type entry = Store.entry_info = {
     ei_file : string;
     ei_bytes : int;
+    ei_objects : int;
     ei_status : (unit, load_error) result;
   }
 
-  let entries = Store.entries
+  let entries = Incr.entries
 
   let clear = Store.clear
 end
@@ -137,10 +138,10 @@ module Result = struct
 
   let ranges t = Driver.analyze_ranges t.driver
 
-  let lints ?enabled ?ranges t = Lint.run ?enabled ?ranges t.driver
+  let lints ?enabled ?ranges ?procs t = Lint.run ?enabled ?ranges ?procs t.driver
 
-  let lints_with_verdicts ?enabled ?ranges t =
-    Lint.run_with_verdicts ?enabled ?ranges t.driver
+  let lints_with_verdicts ?enabled ?ranges ?procs t =
+    Lint.run_with_verdicts ?enabled ?ranges ?procs t.driver
 
   let driver t = t.driver
 end
@@ -183,7 +184,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 let analyze_symtab_window ~reset_window ?(config = Config.default)
-    ?(cache = Cache.Disabled) ~key (symtab : Symtab.t) : Result.t =
+    ?(cache = Cache.Disabled) ~key (symtab : Symtab.t) =
   (* each call owns the telemetry window, so per-run statistics are
      comparable regardless of what the process did before; [analyze]
      opens the window itself, before parsing, so frontend time is
@@ -206,7 +207,7 @@ let analyze_symtab_window ~reset_window ?(config = Config.default)
   in
   let run =
     match o.Incr.o_replay with
-    (* a snapshot written with telemetry off has nothing to replay; fall
+    (* a manifest written with telemetry off has nothing to replay; fall
        back to the (deterministic, warm-path) live counters *)
     | Some r when r.Incr.rs_counters <> [] || not (Obs.on ()) -> r
     | Some _ | None -> live ()
@@ -214,16 +215,17 @@ let analyze_symtab_window ~reset_window ?(config = Config.default)
   (match o.Incr.o_commit with
   | Some commit -> ignore (commit run substitution)
   | None -> ());
-  {
-    Result.driver;
-    substitution;
-    stats = run.Incr.rs_counters;
-    convergence = run.Incr.rs_convergence;
-    cache = o.Incr.o_report;
-  }
+  ( {
+      Result.driver;
+      substitution;
+      stats = run.Incr.rs_counters;
+      convergence = run.Incr.rs_convergence;
+      cache = o.Incr.o_report;
+    },
+    o.Incr.o_keys )
 
 let analyze_symtab ?config ?cache ~key symtab =
-  analyze_symtab_window ~reset_window:true ?config ?cache ~key symtab
+  fst (analyze_symtab_window ~reset_window:true ?config ?cache ~key symtab)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions (api_version 2).  A session is the resident-state unit the
@@ -270,17 +272,20 @@ module Session = struct
     Ipcp_obs.Trace.span "frontend:parse" (fun () ->
         Sema.parse_and_analyze ~file:src.Source.file src.Source.text)
 
-  (* the response-cache key and the per-procedure content hashes *)
-  let fingerprint config symtab =
-    Ipcp_obs.Trace.span "session:fingerprint" (fun () ->
-        (Incr.program_key config symtab, Incr.content_fingerprints symtab))
+  (* the response-cache key and the per-procedure content hashes: those
+     a cached run computed for its lookup, else computed here *)
+  let fingerprint config symtab = function
+    | Some keys -> keys
+    | None ->
+        Ipcp_obs.Trace.span "session:fingerprint" (fun () ->
+            (Incr.program_key config symtab, Incr.content_fingerprints symtab))
 
   let open_ ?(config = Config.default) ?(cache = Cache.Disabled)
       (src : Source.t) : (t, string) result =
     Diag.guard_s (fun () ->
         if Obs.on () then Metrics.reset ();
         let symtab = parse_source src in
-        let result =
+        let result, keys =
           analyze_symtab_window ~reset_window:false ~config ~cache
             ~key:src.Source.file symtab
         in
@@ -294,7 +299,7 @@ module Session = struct
             (c.Cache.r_changed, c.Cache.r_dirty)
           else (n, n)
         in
-        let key, fps = fingerprint config symtab in
+        let key, fps = fingerprint config symtab keys in
         {
           s_config = config;
           s_cache = cache;
@@ -324,23 +329,29 @@ module Session = struct
         (* parse/check first: a rejected source leaves the session on its
            previous generation, untouched *)
         let symtab = parse_source src in
-        let key, fps = fingerprint t.s_config symtab in
+        let result, keys =
+          analyze_symtab_window ~reset_window:false ~config:t.s_config
+            ~cache:t.s_cache ~key:src.Source.file symtab
+        in
+        let key, fps = fingerprint t.s_config symtab keys in
+        let by_name l =
+          List.fold_left
+            (fun m (name, fp) -> Ipcp_frontend.Names.SM.add name fp m)
+            Ipcp_frontend.Names.SM.empty l
+        in
+        let old_fps = by_name t.s_fps and new_fps = by_name fps in
         let changed_names =
           List.filter_map
             (fun (name, fp) ->
-              match List.assoc_opt name t.s_fps with
+              match Ipcp_frontend.Names.SM.find_opt name old_fps with
               | Some old when String.equal old fp -> None
               | _ -> Some name)
             fps
         in
         let removed =
           List.filter
-            (fun (name, _) -> not (List.mem_assoc name fps))
+            (fun (name, _) -> not (Ipcp_frontend.Names.SM.mem name new_fps))
             t.s_fps
-        in
-        let result =
-          analyze_symtab_window ~reset_window:false ~config:t.s_config
-            ~cache:t.s_cache ~key:src.Source.file symtab
         in
         let dirty_procs = caller_closure result.Result.driver changed_names in
         let summary =
@@ -434,7 +445,15 @@ module Session = struct
 
   let closed t = t.s_closed
 
-  let close t = t.s_closed <- true
+  (* the in-process copy of the cache (IR included) is only worth its
+     memory while a session may update *)
+  let close t =
+    if not t.s_closed then begin
+      t.s_closed <- true;
+      match t.s_cache with
+      | Cache.Dir dir -> Incr.forget ~dir ~key:t.s_source.Source.file
+      | Cache.Disabled -> ()
+    end
 end
 
 (* v1 one-shot entry point, now a thin wrapper over an implicit

@@ -65,7 +65,7 @@ module Cache : sig
   type report = {
     r_enabled : bool;  (** a cache directory was in play *)
     r_cold : string option;
-        (** [Some reason] when no usable snapshot was found; [None] on a
+        (** [Some reason] when no usable manifest was found; [None] on a
             warm run (even a fully-dirty one) *)
     r_procs : int;  (** procedures in the program *)
     r_changed : int;  (** procedures whose content changed *)
@@ -82,16 +82,19 @@ module Cache : sig
   val describe_error : load_error -> string
 
   type entry = {
-    ei_file : string;  (** file name within the cache directory *)
-    ei_bytes : int;
+    ei_file : string;  (** the manifest's file name within the directory *)
+    ei_bytes : int;  (** the manifest's bytes plus those of its objects *)
+    ei_objects : int;  (** per-procedure objects the manifest names *)
     ei_status : (unit, load_error) result;
+        (** the manifest's validity, then that of every object it names *)
   }
 
   val entries : string -> entry list
-  (** Inventory of a cache directory. *)
+  (** Inventory of a cache directory: one entry per cached source. *)
 
   val clear : string -> int
-  (** Remove every entry; returns the number of files removed. *)
+  (** Remove every entry and its objects; returns the number of entries
+      removed. *)
 end
 
 (** The outcome of one analysis. *)
@@ -160,16 +163,19 @@ module Result : sig
   val lints :
     ?enabled:(Ipcp_analysis.Lint.check -> bool) ->
     ?ranges:Ipcp_core.Ranges.t ->
+    ?procs:string list ->
     t ->
     Ipcp_analysis.Lint.finding list
   (** Interprocedural diagnostics over this result (computed on demand;
       see {!Ipcp_analysis.Lint}).  [ranges] supplies interval facts for
       the range-backed checks; without it the findings match the
-      historical engine exactly. *)
+      historical engine exactly.  [procs] asks for the findings of those
+      procedures only, at the cost of linting them alone. *)
 
   val lints_with_verdicts :
     ?enabled:(Ipcp_analysis.Lint.check -> bool) ->
     ?ranges:Ipcp_core.Ranges.t ->
+    ?procs:string list ->
     t ->
     Ipcp_analysis.Lint.finding list * Ipcp_analysis.Lint.verdict_totals
   (** {!lints} plus the verdict census of the fault-candidate sites
@@ -319,7 +325,9 @@ module Session : sig
 
   val close : t -> unit
   (** Mark the session closed; subsequent queries raise
-      [Invalid_argument].  Idempotent. *)
+      [Invalid_argument].  With a cache attached, the in-process copy of
+      its entry (decoded objects and lowered IR) is dropped; the cache
+      on disk stays.  Idempotent. *)
 end
 
 val analyze :

@@ -63,12 +63,18 @@ type summary = {
 
 type reuse = {
   keep_ir : (Cfg.t * Ssa.conv) SM.t;
+  unchecked_ir : SS.t;
   keep_summaries : summary SM.t;
   keep_fixpoint : Solver.t option;
 }
 
 let no_reuse =
-  { keep_ir = SM.empty; keep_summaries = SM.empty; keep_fixpoint = None }
+  {
+    keep_ir = SM.empty;
+    unchecked_ir = SS.empty;
+    keep_summaries = SM.empty;
+    keep_fixpoint = None;
+  }
 
 (* a procedure's summaries depend only on its body and its transitive
    callees, so the procedures without a stored summary invalidate their
@@ -131,18 +137,25 @@ let analyze ?(config = Config.default) ?(reuse = no_reuse) (symtab : Symtab.t)
   in
   let cfg_cost _ cfg = Cfg.weight cfg in
   let conv_cost _ (conv : Ssa.conv) = Cfg.weight conv.Ssa.ssa in
-  (* preparation, of the procedures without a kept CFG and SSA form (the
-     run that built those verified them).  [lower_parallel] reduces to
-     the sequential map at [jobs = 1] (the pool combinators fall back),
-     and either way carries the per-procedure timers *)
+  (* preparation, of the procedures without a kept CFG and SSA form.
+     [lower_parallel] reduces to the sequential map at [jobs = 1] (the
+     pool combinators fall back), and either way carries the
+     per-procedure timers.  The verifier checks the fresh forms and the
+     kept ones no verifying run has checked yet. *)
   let lowered =
     Trace.span "prepare:lower" (fun () ->
         lower_parallel ~jobs ~keep:reuse.keep_ir symtab)
   in
+  let unchecked part =
+    SM.filter_map
+      (fun p ir -> if SS.mem p reuse.unchecked_ir then Some (part ir) else None)
+      reuse.keep_ir
+  in
+  let to_check fresh part = SM.union (fun _ x _ -> Some x) fresh (unchecked part) in
   if config.Config.verify_ir then
     verify_fanout cfg_cost
       (fun _ cfg -> Verify.expect_ok ~what:"lowering" (Verify.check_lowered ~symtab cfg))
-      lowered;
+      (to_check lowered fst);
   let converted =
     let ssa_one p cfg =
       Metrics.time_key "proc_ns.ssa/" p (fun () -> Ssa.convert_full cfg)
@@ -158,7 +171,7 @@ let analyze ?(config = Config.default) ?(reuse = no_reuse) (symtab : Symtab.t)
       (fun _ (conv : Ssa.conv) ->
         Verify.expect_ok ~what:"SSA construction"
           (Verify.check_ssa ~symtab conv.Ssa.ssa))
-      converted;
+      (to_check converted snd);
   let cfgs =
     SM.fold (fun p (cfg, _) m -> SM.add p cfg m) reuse.keep_ir lowered
   in
@@ -293,20 +306,25 @@ let final_eval t p : Symeval.t =
   in
   Symeval.run ~entry_binding ~symtab:t.symtab ~psym ~policy conv.Ssa.ssa
 
-(** Stage 4 over every procedure — the fan-out the substitution pass
-    consumes, parallel across procedures when [config.jobs > 1] (the
+(** Stage 4 over every procedure, or over [procs] — the fan-out the
+    substitution pass consumes, parallel across procedures when [config.jobs > 1] (the
     parallel case gets one coordinator-side span; per-procedure spans
     land on the worker tids). *)
-let final_evals (t : t) : Symeval.t SM.t =
+let final_evals ?procs (t : t) : Symeval.t SM.t =
   let jobs = max 1 t.config.Config.jobs in
-  if jobs <= 1 then SM.mapi (fun p _ -> final_eval t p) t.convs
+  let convs =
+    match procs with
+    | None -> t.convs
+    | Some ps -> List.fold_left (fun m p -> SM.add p (SM.find p t.convs) m) SM.empty ps
+  in
+  if jobs <= 1 then SM.mapi (fun p _ -> final_eval t p) convs
   else
     Trace.span "stage4:record" (fun () ->
         Pool.map_sm ~jobs
           ~cost:(fun _ (conv : Ssa.conv) -> Cfg.weight conv.Ssa.ssa)
           ~seq_below:Pool.default_seq_cost
           (fun p _ -> final_eval t p)
-          t.convs)
+          convs)
 
 (** The interval instance of the pipeline: interprocedural range
     propagation over the already-built jump functions, then a

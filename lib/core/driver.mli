@@ -4,7 +4,7 @@
 
     {!analyze} is the one implementation of the pipeline, cold or
     incremental: the incremental engine (lib/incr) passes it a {!reuse}
-    built from its snapshot, and a run without one computes everything. *)
+    built from its cache, and a run without one computes everything. *)
 
 module Symtab = Ipcp_frontend.Symtab
 module Cfg = Ipcp_ir.Cfg
@@ -46,6 +46,9 @@ type reuse = {
   keep_ir : (Cfg.t * Ssa.conv) Ipcp_frontend.Names.SM.t;
       (** CFG and SSA form of each procedure whose text, source locations
           and first call-site id are unchanged *)
+  unchecked_ir : Ipcp_frontend.Names.SS.t;
+      (** the procedures of [keep_ir] whose forms no run with
+          [config.verify_ir] has checked; a verifying run checks them *)
   keep_summaries : summary Ipcp_frontend.Names.SM.t;
       (** the summaries of procedures whose content is unchanged; the run
           keeps those of {!kept_summaries} *)
@@ -86,9 +89,10 @@ val final_eval : t -> string -> Symeval.t
     the propagation fixpoint.  SSA names whose values fold to constants
     here are the substitution candidates. *)
 
-val final_evals : t -> Symeval.t Ipcp_frontend.Names.SM.t
-(** {!final_eval} for every procedure, parallel across procedures when
-    [config.jobs > 1] (results identical to the sequential map). *)
+val final_evals : ?procs:string list -> t -> Symeval.t Ipcp_frontend.Names.SM.t
+(** {!final_eval} for every procedure, or for [procs] only, parallel
+    across procedures when [config.jobs > 1] (results identical to the
+    sequential map). *)
 
 val analyze_ranges : t -> Ranges.t
 (** The interval instance: interprocedural range propagation over the

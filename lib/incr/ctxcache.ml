@@ -20,52 +20,14 @@ open Ipcp_frontend.Names
 module Symtab = Ipcp_frontend.Symtab
 module Config = Ipcp_core.Config
 module Callgraph = Ipcp_callgraph.Callgraph
-module Scc = Ipcp_callgraph.Scc
 
-(** Transitive per-procedure fingerprints: a procedure's deep fingerprint
-    covers its own content, the configuration and COMMON keys, and the
-    deep fingerprints of everything it calls.  Members of a recursive
-    component share the component digest, salted with their own content
-    fingerprint so two members never collide. *)
+(** Transitive per-procedure fingerprints ({!Fingerprint.deep}). *)
 let deep_fingerprints ~(config : Config.t) (symtab : Symtab.t)
     (cg : Callgraph.t) : string SM.t =
-  let base =
-    List.fold_left
-      (fun m (p, fp) -> SM.add p fp m)
-      SM.empty
-      (Incr.content_fingerprints symtab)
-  in
-  let own p = Option.value ~default:"?" (SM.find_opt p base) in
-  let seed = Fingerprint.config config ^ "|" ^ Fingerprint.globals symtab in
-  let deep = ref SM.empty in
-  List.iter
-    (fun comp ->
-      let comp_set = SS.of_list comp in
-      let member_part p =
-        let outs =
-          Callgraph.callees cg p
-          |> List.filter (fun q -> not (SS.mem q comp_set))
-          |> List.map (fun q ->
-                 Option.value ~default:"?" (SM.find_opt q !deep))
-        in
-        String.concat "," (own p :: outs)
-      in
-      let combined =
-        Digest.to_hex
-          (Digest.string
-             (seed ^ "|"
-             ^ String.concat ";"
-                 (List.map member_part (List.sort compare comp))))
-      in
-      List.iter
-        (fun p ->
-          deep :=
-            SM.add p
-              (Digest.to_hex (Digest.string (combined ^ "#" ^ own p)))
-              !deep)
-        comp)
-    (Scc.bottom_up (Scc.compute cg));
-  !deep
+  Fingerprint.deep ~config_key:(Fingerprint.config config)
+    ~globals_hash:(Fingerprint.globals symtab)
+    (Incr.content_fingerprints symtab)
+    cg
 
 (* ------------------------------------------------------------------ *)
 (* The store *)

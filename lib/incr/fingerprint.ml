@@ -87,3 +87,43 @@ let program ~(config_key : string) ~(globals_hash : string)
       Buffer.add_string buf content)
     contents;
   Digest.string (Buffer.contents buf)
+
+(** Transitive per-procedure fingerprints: a procedure's deep
+    fingerprint (hex) covers its own content, the configuration and
+    COMMON keys, and the deep fingerprints of everything it calls.
+    Members of a recursive component share the component digest, salted
+    with their own content fingerprint so two members never collide. *)
+let deep ~(config_key : string) ~(globals_hash : string)
+    (contents : (string * string) list) (cg : Ipcp_callgraph.Callgraph.t) :
+    string Ipcp_frontend.Names.SM.t =
+  let module SM = Ipcp_frontend.Names.SM in
+  let module SS = Ipcp_frontend.Names.SS in
+  let module Callgraph = Ipcp_callgraph.Callgraph in
+  let module Scc = Ipcp_callgraph.Scc in
+  let base = List.fold_left (fun m (p, fp) -> SM.add p fp m) SM.empty contents in
+  let own p = Option.value ~default:"?" (SM.find_opt p base) in
+  let seed = config_key ^ "|" ^ globals_hash in
+  List.fold_left
+    (fun deep comp ->
+      let comp_set = SS.of_list comp in
+      let member_part p =
+        let outs =
+          Callgraph.callees cg p
+          |> List.filter (fun q -> not (SS.mem q comp_set))
+          |> List.map (fun q -> Option.value ~default:"?" (SM.find_opt q deep))
+        in
+        String.concat "," (own p :: outs)
+      in
+      let combined =
+        Digest.to_hex
+          (Digest.string
+             (seed ^ "|"
+             ^ String.concat ";" (List.map member_part (List.sort compare comp))
+             ))
+      in
+      List.fold_left
+        (fun deep p ->
+          SM.add p (Digest.to_hex (Digest.string (combined ^ "#" ^ own p))) deep)
+        deep comp)
+    SM.empty
+    (Scc.bottom_up (Scc.compute cg))

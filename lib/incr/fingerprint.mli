@@ -38,3 +38,17 @@ val program :
 (** Whole-program content key over the procedures' content digests
     ({!content}), in declaration order; guards the propagation fixpoint
     and the substitution result. *)
+
+val deep :
+  config_key:string ->
+  globals_hash:string ->
+  (string * string) list ->
+  Ipcp_callgraph.Callgraph.t ->
+  string Ipcp_frontend.Names.SM.t
+(** Per-procedure transitive digests (hex) over the content
+    fingerprints ({!content}, by procedure) and call graph [cg]: a
+    procedure's covers its own content, the configuration and COMMON
+    keys, and the deep fingerprints of every transitive callee
+    (component-shared within a recursive SCC, salted by the member's own
+    content fingerprint).  Every per-procedure summary is a function of
+    it. *)

@@ -1,6 +1,7 @@
 (** Versioned on-disk cache store (hand-rolled container, no new deps).
 
-    One file per cache key under the cache directory.  Each file is a
+    A cache directory holds, flat, one {e manifest} per cache key and the
+    immutable {e objects} its manifests name.  Both are files of one
     small self-describing envelope around an opaque payload:
 
     {v
@@ -12,20 +13,29 @@
     v}
 
     The payload is produced by the caller (the incremental engine
-    marshals its snapshot into it).  The checksum is verified {e before}
-    the payload is handed back, so a truncated or bit-flipped file can
-    never reach [Marshal.from_string] — it is reported as [Corrupt] and
-    the caller falls back to a cold run.  The format version and the
-    OCaml runtime version are both part of validity: either changing
-    reads as [Stale], again forcing a cold run rather than a crash. *)
+    marshals its manifest and its per-procedure objects into them).  The
+    checksum is verified {e before} the payload is handed back, so a
+    truncated or bit-flipped file can never reach [Marshal.from_string]
+    — it is reported as [Corrupt] and the caller falls back to
+    recomputing.  The format version and the OCaml runtime version are
+    both part of validity: either changing reads as [Stale], again
+    forcing a cold run rather than a crash.
 
-(** Bump whenever the marshalled snapshot layout changes, or when a
-    snapshot's replayed statistics would differ from a fresh run's. *)
-let format_version = 5
+    A manifest is [<stem>.ipcpc] and an object it names is
+    [<stem>.<name>.ipcpo], where the stem is a sanitised prefix of the
+    key plus a digest of it: the objects of one key sit beside its
+    manifest, and no two keys share a file. *)
+
+(** Bump whenever the marshalled manifest or object layout changes, or
+    when a manifest's replayed statistics would differ from a fresh
+    run's. *)
+let format_version = 6
 
 let magic = "IPCP-CACHE"
 
-let file_extension = ".ipcpc"
+let manifest_extension = ".ipcpc"
+
+let object_extension = ".ipcpo"
 
 type load_error =
   | Missing  (** no entry for this key *)
@@ -38,9 +48,10 @@ let load_error_to_string = function
   | Corrupt r -> "corrupt: " ^ r
 
 (* Keys are arbitrary strings (file paths, suite program names); the
-   file name keeps a sanitised prefix for humans and a digest suffix for
-   uniqueness. *)
-let entry_file ~key =
+   stem keeps a sanitised prefix for humans and a digest suffix for
+   uniqueness.  It never contains a '.', so [<stem>.] prefixes exactly
+   one key's files. *)
+let stem ~key =
   let sane =
     String.map
       (fun c ->
@@ -50,11 +61,13 @@ let entry_file ~key =
       (Filename.basename key)
   in
   let sane = if String.length sane > 40 then String.sub sane 0 40 else sane in
-  Fmt.str "%s-%s%s" sane
-    (String.sub (Digest.to_hex (Digest.string key)) 0 12)
-    file_extension
+  Fmt.str "%s-%s" sane (String.sub (Digest.to_hex (Digest.string key)) 0 12)
 
-let entry_path ~dir ~key = Filename.concat dir (entry_file ~key)
+let entry_path ~dir ~key = Filename.concat dir (stem ~key ^ manifest_extension)
+
+let object_file ~key name = Fmt.str "%s.%s%s" (stem ~key) name object_extension
+
+let object_path ~dir ~key name = Filename.concat dir (object_file ~key name)
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -63,26 +76,24 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-let header ~payload =
-  Fmt.str "%s %d\nocaml %s\nsum %s\nlen %d\n" magic format_version
-    Sys.ocaml_version
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload)
-
-(** Atomic save: write a temporary file in the cache directory, then
-    rename it over the entry, so a reader never observes a half-written
-    envelope. *)
-let save ~dir ~key (payload : string) : (unit, string) result =
+(** Atomic write of one envelope: a temporary file in the same
+    directory, then a rename over [path], so a reader never observes a
+    half-written file.  Returns the payload's checksum. *)
+let write path (payload : string) : (string, string) result =
   try
-    mkdir_p dir;
-    let path = entry_path ~dir ~key in
+    mkdir_p (Filename.dirname path);
+    let sum = Digest.to_hex (Digest.string payload) in
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
-    output_string oc (header ~payload);
-    output_string oc payload;
-    close_out oc;
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc
+          (Fmt.str "%s %d\nocaml %s\nsum %s\nlen %d\n" magic format_version
+             Sys.ocaml_version sum (String.length payload));
+        output_string oc payload);
     Sys.rename tmp path;
-    Ok ()
+    Ok sum
   with Sys_error e -> Error e
 
 let read_file path =
@@ -108,7 +119,9 @@ let header_line s pos tag =
             nl + 1 )
       else Error (Fmt.str "bad %s line %S" tag line)
 
-let parse (contents : string) : (string, load_error) result =
+type envelope = { sum : string; payload : string }
+
+let parse (contents : string) : (envelope, load_error) result =
   let ( let* ) r f =
     match r with Ok v -> f v | Error e -> Error (Corrupt e)
   in
@@ -150,10 +163,9 @@ let parse (contents : string) : (string, load_error) result =
         let payload = String.sub contents pos len in
         if Digest.to_hex (Digest.string payload) <> sum then
           Error (Corrupt "payload checksum mismatch")
-        else Ok payload
+        else Ok { sum; payload }
 
-let load ~dir ~key : (string, load_error) result =
-  let path = entry_path ~dir ~key in
+let read path : (envelope, load_error) result =
   if not (Sys.file_exists path) then Error Missing
   else
     match read_file path with
@@ -162,52 +174,144 @@ let load ~dir ~key : (string, load_error) result =
     | contents -> parse contents
 
 (* ------------------------------------------------------------------ *)
-(* Management (the [ipcp cache] subcommand) *)
+(* Objects *)
 
-type entry_info = {
-  ei_file : string;  (** file name within the cache directory *)
-  ei_bytes : int;
-  ei_status : (unit, load_error) result;  (** envelope validity *)
-}
-
-let entries dir : entry_info list =
+(** The names of [key]'s objects present in [dir]. *)
+let objects ~dir ~key : string list =
+  let prefix = stem ~key ^ "." in
   if not (Sys.file_exists dir) then []
   else
-    Sys.readdir dir |> Array.to_list |> List.sort compare
-    |> List.filter_map (fun f ->
-           if Filename.check_suffix f file_extension then
-             let path = Filename.concat dir f in
-             let contents = try Some (read_file path) with _ -> None in
-             match contents with
-             | None ->
-                 Some
-                   {
-                     ei_file = f;
-                     ei_bytes = 0;
-                     ei_status = Error (Corrupt "unreadable");
-                   }
-             | Some c ->
-                 Some
-                   {
-                     ei_file = f;
-                     ei_bytes = String.length c;
-                     ei_status = Result.map (fun _ -> ()) (parse c);
-                   }
-           else None)
+    Array.fold_left
+      (fun acc f ->
+        if
+          String.starts_with ~prefix f
+          && Filename.check_suffix f object_extension
+        then
+          String.sub f (String.length prefix)
+            (String.length f - String.length prefix
+            - String.length object_extension)
+          :: acc
+        else acc)
+      [] (Sys.readdir dir)
 
-(** Remove every cache entry (and stray temporaries); returns the number
-    of files removed.  The directory itself is kept. *)
+let remove_object ~dir ~key name =
+  try Sys.remove (object_path ~dir ~key name) with Sys_error _ -> ()
+
+(* A pack is one object holding many: the (name, payload) pairs of the
+   objects one commit writes.  A cold populate writes its objects as a
+   pack, as creating a file for each of thousands of objects costs more
+   than all the rest of the populate on some file systems. *)
+let write_pack ~dir ~key (objects : (string * string) list) :
+    (string, string) result =
+  let payload = Marshal.to_string objects [] in
+  let name = "p" ^ Digest.to_hex (Digest.string payload) in
+  Result.map (fun _ -> name) (write (object_path ~dir ~key name) payload)
+
+let read_pack ~dir ~key name : ((string, string) Hashtbl.t, load_error) result =
+  Result.bind (read (object_path ~dir ~key name)) (fun env ->
+      match (Marshal.from_string env.payload 0 : (string * string) list) with
+      | objects ->
+          let tbl = Hashtbl.create (List.length objects) in
+          List.iter (fun (n, p) -> Hashtbl.replace tbl n p) objects;
+          Ok tbl
+      | exception _ -> Error (Corrupt "pack does not decode"))
+
+(* ------------------------------------------------------------------ *)
+(* Management (the [ipcp cache] subcommand) *)
+
+let file_size path =
+  try In_channel.with_open_bin path (fun ic -> Int64.to_int (In_channel.length ic))
+  with Sys_error _ -> 0
+
+type entry_info = {
+  ei_file : string;  (** the manifest's file name within the directory *)
+  ei_bytes : int;  (** the manifest's bytes plus those of its objects *)
+  ei_objects : int;  (** objects the manifest names *)
+  ei_status : (unit, load_error) result;
+      (** the manifest's validity, then that of every object it names *)
+}
+
+(* Every manifest of [dir], sorted by file name.  [objects_of] decodes a
+   manifest's payload into the names of the objects it refers to and the
+   pack it names; each of those objects must be present, as a file or in
+   the pack, and pass its checksum for the entry to be healthy. *)
+let entries ~(objects_of : string -> (string list * string option) option) dir
+    : entry_info list =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f manifest_extension)
+    |> List.sort compare
+    |> List.map (fun f ->
+           let path = Filename.concat dir f in
+           let bytes = file_size path in
+           let stem = Filename.chop_suffix f manifest_extension in
+           let object_path name =
+             Filename.concat dir (Fmt.str "%s.%s%s" stem name object_extension)
+           in
+           match Result.map (fun e -> objects_of e.payload) (read path) with
+           | Error e ->
+               { ei_file = f; ei_bytes = bytes; ei_objects = 0; ei_status = Error e }
+           | Ok None ->
+               {
+                 ei_file = f;
+                 ei_bytes = bytes;
+                 ei_objects = 0;
+                 ei_status = Error (Corrupt "manifest does not decode");
+               }
+           | Ok (Some (names, pack)) ->
+               let packed =
+                 match pack with
+                 | None -> Hashtbl.create 0
+                 | Some p -> (
+                     match read (object_path p) with
+                     | Ok e -> (
+                         match (Marshal.from_string e.payload 0 : (string * string) list) with
+                         | l -> Hashtbl.of_seq (List.to_seq l)
+                         | exception _ -> Hashtbl.create 0)
+                     | Error _ -> Hashtbl.create 0)
+               in
+               let bad =
+                 List.filter
+                   (fun n ->
+                     match read (object_path n) with
+                     | Ok _ -> false
+                     | Error Missing -> not (Hashtbl.mem packed n)
+                     | Error _ -> true)
+                   names
+               in
+               let files = Option.to_list pack @ names in
+               {
+                 ei_file = f;
+                 ei_bytes =
+                   List.fold_left
+                     (fun b n -> b + file_size (object_path n))
+                     bytes (List.sort_uniq compare files);
+                 ei_objects = List.length names;
+                 ei_status =
+                   (if bad = [] then Ok ()
+                    else
+                      Error
+                        (Corrupt
+                           (Fmt.str "%d of %d object(s) missing or corrupt"
+                              (List.length bad) (List.length names))));
+               })
+
+(** Remove every manifest and object (and stray temporaries); returns
+    the number of manifests removed.  The directory itself is kept. *)
 let clear dir : int =
   if not (Sys.file_exists dir) then 0
   else
     Array.fold_left
       (fun n f ->
+        let is ext = Filename.check_suffix f ext in
         if
-          Filename.check_suffix f file_extension
-          || Filename.check_suffix f (file_extension ^ ".tmp")
+          is manifest_extension || is object_extension
+          || is (manifest_extension ^ ".tmp")
+          || is (object_extension ^ ".tmp")
         then begin
           (try Sys.remove (Filename.concat dir f) with Sys_error _ -> ());
-          n + 1
+          if is manifest_extension then n + 1 else n
         end
         else n)
       0 (Sys.readdir dir)

@@ -26,8 +26,8 @@ module Verify = Ipcp_verify.Verify
 module Pool = Ipcp_par.Pool
 
 (** Locations of scalar-variable uses whose value is constant, across the
-    whole program. *)
-let constant_uses (t : Driver.t) : int Loc.Map.t =
+    whole program or in [procs]. *)
+let constant_uses ?procs (t : Driver.t) : int Loc.Map.t =
   SM.fold
     (fun _ (ev : Symeval.t) acc ->
       let acc = ref acc in
@@ -40,7 +40,7 @@ let constant_uses (t : Driver.t) : int Loc.Map.t =
       in
       Cfg.iter_value_operands add ev.Symeval.cfg;
       !acc)
-    (Driver.final_evals t) Loc.Map.empty
+    (Driver.final_evals ?procs t) Loc.Map.empty
 
 (* ------------------------------------------------------------------ *)
 (* AST rewriting.  [lookup] returns the constant for a use location and is
@@ -167,20 +167,28 @@ type result = {
   total : int;
 }
 
+type proc_sub = {
+  ps_count : int;
+  ps_uses : (int * int) list;
+  ps_checked : bool;
+}
+
 (* The rewrite is checked per procedure, against the analysis's symbol
    table: a rewrite turns variable uses into literals and leaves every
    declaration alone.  A procedure the sharing rewriters left physically
-   equal to its input is the already-verified original; every other one
-   is lowered from its declaration-order site offset and checked as
-   {!Verify.check_source} checks a parsed program. *)
-let check_rewrite (t : Driver.t) (program : Ast.program) : unit =
+   equal to its input is the already-verified original, and [skip] names
+   rewrites already checked; every other one is lowered from its
+   declaration-order site offset and checked as {!Verify.check_source}
+   checks a parsed program. *)
+let check_rewrite ?(skip = fun _ -> false) (t : Driver.t)
+    (program : Ast.program) : unit =
   let symtab = t.Driver.symtab in
   let tasks =
     Array.of_list
       (List.filter_map
          (fun ((proc : Ast.proc), off) ->
            let psym = Symtab.proc symtab proc.Ast.name in
-           if proc == psym.Symtab.proc then None
+           if proc == psym.Symtab.proc || skip proc.Ast.name then None
            else Some ({ psym with Symtab.proc }, off))
          (List.combine program (Lower.site_offsets program)))
   in
@@ -202,39 +210,95 @@ let check_rewrite (t : Driver.t) (program : Ast.program) : unit =
   Verify.expect_ok ~what:"constant substitution"
     (List.concat (Array.to_list per))
 
-let apply (t : Driver.t) : result =
+(* The one substitution pass.  Stage 4 runs for the procedures [reuse]
+   has no object for; the others are rewritten from their object, whose
+   uses are numbered in the order the rewriters visit [Var] nodes, so
+   they apply wherever the procedure's text has moved.  With [collect],
+   every procedure's object is returned too. *)
+let run ~(reuse : string -> proc_sub option) ~collect (t : Driver.t) :
+    result * proc_sub SM.t =
   Ipcp_obs.Trace.span "pass:substitute" @@ fun () ->
-  let subs = constant_uses t in
-  let per_proc = ref SM.empty in
+  let order = t.Driver.symtab.Symtab.order in
+  let kept =
+    List.fold_left
+      (fun m p -> match reuse p with Some o -> SM.add p o m | None -> m)
+      SM.empty order
+  in
+  (* with nothing to reuse, the whole-program stage 4 a cache-less run
+     has always run *)
+  let subs =
+    if SM.is_empty kept then constant_uses t
+    else
+      match List.filter (fun p -> not (SM.mem p kept)) order with
+      | [] -> Loc.Map.empty
+      | procs -> constant_uses ~procs t
+  in
+  let verify = t.Driver.config.Ipcp_core.Config.verify_ir in
+  let per_proc = ref SM.empty and objects = ref SM.empty in
   let program =
     List.map
       (fun pname ->
         let proc = (Symtab.proc t.Driver.symtab pname).Symtab.proc in
-        let cnt = ref 0 in
-        let ctx =
-          {
-            lookup =
-              (fun l ->
+        let ordinal = ref 0 in
+        let next () =
+          let k = !ordinal in
+          incr ordinal;
+          k
+        in
+        let body, obj =
+          match SM.find_opt pname kept with
+          | Some o ->
+              let rest = ref o.ps_uses in
+              let lookup _ =
+                let k = next () in
+                match !rest with
+                | (k', c) :: tl when k' = k ->
+                    rest := tl;
+                    Some c
+                | _ -> None
+              in
+              (* a verifying run checks the rewrite below if no verifying
+                 run has *)
+              (rw_stmts { lookup } proc.Ast.body, { o with ps_checked = o.ps_checked || verify })
+          | None ->
+              let cnt = ref 0 and uses = ref [] in
+              let lookup l =
+                let k = next () in
                 match Loc.Map.find_opt l subs with
                 | Some c ->
                     incr cnt;
+                    if collect then uses := (k, c) :: !uses;
                     Some c
-                | None -> None);
-          }
+                | None -> None
+              in
+              let body = rw_stmts { lookup } proc.Ast.body in
+              ( body,
+                {
+                  ps_count = !cnt;
+                  ps_uses = List.rev !uses;
+                  ps_checked = verify || !cnt = 0;
+                } )
         in
-        let body = rw_stmts ctx proc.Ast.body in
-        per_proc := SM.add pname !cnt !per_proc;
+        per_proc := SM.add pname obj.ps_count !per_proc;
+        if collect then objects := SM.add pname obj !objects;
         if body == proc.Ast.body then proc else { proc with Ast.body })
-      t.Driver.symtab.Symtab.order
+      order
   in
   let total = SM.fold (fun _ c acc -> acc + c) !per_proc 0 in
   Ipcp_obs.Metrics.add "substitute.substituted" total;
   (* [total = 0] means the sharing rewriters changed nothing: the
      program is element-wise the already-checked input, so there is
      nothing new to verify *)
-  if total > 0 && t.Driver.config.Ipcp_core.Config.verify_ir then
-    check_rewrite t program;
-  { program; per_proc = !per_proc; total }
+  if total > 0 && verify then
+    check_rewrite
+      ~skip:(fun p ->
+        match SM.find_opt p kept with Some o -> o.ps_checked | None -> false)
+      t program;
+  ({ program; per_proc = !per_proc; total }, !objects)
+
+let apply t = fst (run ~reuse:(fun _ -> None) ~collect:false t)
+
+let apply_reusing ~reuse t = run ~reuse ~collect:true t
 
 (** Just the count (the number every table of the paper reports). *)
 let count t = (apply t).total

@@ -242,11 +242,7 @@ let query_payload s ~proc ~what =
                       rs) );
              ])
     | "lints" ->
-        let fs =
-          List.filter
-            (fun (f : Lint.finding) -> String.equal f.Lint.f_proc proc)
-            (Ipcp.Result.lints (S.result s))
-        in
+        let fs = Ipcp.Result.lints ~procs:[ proc ] (S.result s) in
         Ok
           (Json.Obj
              [

@@ -339,22 +339,24 @@ let store_tests =
   [
     Alcotest.test_case "save/load roundtrip and missing key" `Quick (fun () ->
         let dir = fresh_dir () in
-        Alcotest.(check bool)
-          "missing" true
-          (Store.load ~dir ~key:"nope" = Error Store.Missing);
-        (match Store.save ~dir ~key:"k" "payload bytes" with
-        | Ok () -> ()
+        let load key =
+          Result.map
+            (fun e -> e.Store.payload)
+            (Store.read (Store.entry_path ~dir ~key))
+        in
+        Alcotest.(check bool) "missing" true (load "nope" = Error Store.Missing);
+        (match Store.write (Store.entry_path ~dir ~key:"k") "payload bytes" with
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "save failed: %s" e);
-        Alcotest.(check bool)
-          "roundtrip" true
-          (Store.load ~dir ~key:"k" = Ok "payload bytes"));
+        Alcotest.(check bool) "roundtrip" true (load "k" = Ok "payload bytes"));
     Alcotest.test_case "format-version skew reads as stale, run goes cold"
       `Quick
       (fun () ->
-        (* a future version, and the two before this one: version 3's
+        (* a future version, and the three before this one: version 3's
            snapshots replay statistics this version no longer produces,
-           and version 4's hold a procedure's summaries in the layout
-           before [Driver.summary] *)
+           version 4's hold a procedure's summaries in the layout before
+           [Driver.summary], and version 5's are one whole-program
+           snapshot, with IR taken as checked *)
         List.iter
           (fun version ->
             with_obs @@ fun () ->
@@ -380,7 +382,7 @@ let store_tests =
               "cold" true
               ((report warm).Ipcp.Cache.r_cold <> None);
             Alcotest.(check int) "counted as stale" 1 stale)
-          [ 9999; 4; 3 ]);
+          [ 9999; 5; 4; 3 ]);
     Alcotest.test_case "corrupted payload reads as corrupt, run goes cold"
       `Quick
       (fun () ->
@@ -662,6 +664,231 @@ let partly_dirty_prop =
            src0 edits);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Per-procedure objects: the manifest names a summary and a
+   substitution object per procedure, stored flat beside it; damage
+   degrades to recomputing the procedure, the in-process copy is only
+   trusted while the manifest on disk is the one it describes, and a
+   save writes what its dirty set changed. *)
+
+let object_files dir =
+  List.filter
+    (fun f -> Filename.check_suffix f ".ipcpo")
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* the kind of an object file: 's' (summary) or 'u' (substitution) *)
+let object_kind f = (List.nth (String.split_on_char '.' f) 1).[0]
+
+let generated ?(seed = 11) n =
+  Generator.generate ~params:(Generator.scaled ~seed ~n_procs:n ()) ()
+
+let substituted (r : Ipcp.Result.t) =
+  Pretty.program_to_string (Ipcp.Result.substitution r).Ipcp.Result.program
+
+let object_tests =
+  [
+    Alcotest.test_case "a verifying run checks what an unverified run kept"
+      `Quick (fun () ->
+        with_obs @@ fun () ->
+        let unverified = { config with Config.verify_ir = false }
+        and verified = { config with Config.verify_ir = true } in
+        let src = chain_src () in
+        let cold = analyze ~config:verified src in
+        (* in process: the IR and substitutions the first run kept *)
+        let dir = fresh_dir () in
+        let cache = Ipcp.Cache.Dir dir in
+        ignore (analyze ~config:unverified ~cache src);
+        let warm = analyze ~config:verified ~cache src in
+        let checks = Metrics.get "verify.checks" in
+        Alcotest.(check bool) "fixpoint replayed" true
+          (report warm).Ipcp.Cache.r_fixpoint_reused;
+        Alcotest.(check bool) "the kept forms were checked" true (checks > 0);
+        Alcotest.(check bool) "warm equals cold" true
+          (observable warm = observable cold);
+        ignore (analyze ~config:verified ~cache src);
+        Alcotest.(check int) "a second verifying run has nothing to check" 0
+          (Metrics.get "verify.checks");
+        (* from disk: the substitutions the first run wrote *)
+        let dir = fresh_dir () in
+        let cache = Ipcp.Cache.Dir dir in
+        ignore (analyze ~config:unverified ~cache src);
+        Incr.forget ~dir ~key:"<test>";
+        let warm = analyze ~config:verified ~cache src in
+        Alcotest.(check bool) "checked from disk" true
+          (Metrics.get "verify.checks" > 0);
+        Alcotest.(check bool) "warm from disk equals cold" true
+          (observable warm = observable cold));
+    Alcotest.test_case "a missing or bit-flipped object is recomputed" `Quick
+      (fun () ->
+        with_obs @@ fun () ->
+        let flip path =
+          let bytes = Bytes.of_string (read_file path) in
+          let i = Bytes.length bytes - 3 in
+          Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0xff));
+          write_file path (Bytes.to_string bytes)
+        in
+        (* the cold populate packs its objects; the edit's save writes
+           those of its dirty procedures as files of their own *)
+        let dir = fresh_dir () in
+        let cache = Ipcp.Cache.Dir dir in
+        ignore (analyze ~cache (chain_src ()));
+        let src = chain_src ~leaf_c:8 () in
+        ignore (analyze ~cache src);
+        Incr.forget ~dir ~key:"<test>";
+        let file dir kind =
+          Filename.concat dir
+            (List.find (fun f -> object_kind f = kind) (object_files dir))
+        in
+        Sys.remove (file dir 's');
+        flip (file dir 'u');
+        let warm = analyze ~cache src in
+        let missing = Metrics.get "incr.object.missing"
+        and corrupt = Metrics.get "incr.object.corrupt" in
+        let cold = analyze src in
+        let c = report warm in
+        Alcotest.(check int) "one object missing" 1 missing;
+        Alcotest.(check int) "one object corrupt" 1 corrupt;
+        Alcotest.(check bool) "still warm" true (c.Ipcp.Cache.r_cold = None);
+        Alcotest.(check bool) "a procedure was recomputed" true
+          (c.Ipcp.Cache.r_summary_reused < c.Ipcp.Cache.r_procs);
+        Alcotest.(check bool) "warm equals cold" true
+          (observable warm = observable cold);
+        (match Ipcp.Cache.entries dir with
+        | [ e ] ->
+            Alcotest.(check bool) "both objects written anew" true
+              (e.Ipcp.Cache.ei_status = Ok ())
+        | es -> Alcotest.failf "expected one entry, found %d" (List.length es));
+        (* a damaged pack: each object it held reads as corrupt *)
+        let dir = fresh_dir () in
+        let cache = Ipcp.Cache.Dir dir in
+        ignore (analyze ~cache src);
+        Incr.forget ~dir ~key:"<test>";
+        flip (file dir 'p');
+        let warm = analyze ~cache src in
+        let corrupt = Metrics.get "incr.object.corrupt" in
+        Alcotest.(check bool) "packed objects counted corrupt" true (corrupt > 0);
+        Alcotest.(check bool) "recovered from a damaged pack" true
+          (observable warm = observable cold);
+        match Ipcp.Cache.entries dir with
+        | [ e ] ->
+            Alcotest.(check bool) "healthy again" true
+              (e.Ipcp.Cache.ei_status = Ok ())
+        | es -> Alcotest.failf "expected one entry, found %d" (List.length es));
+    Alcotest.test_case "closing a session drops its in-process copy" `Quick
+      (fun () ->
+        with_obs @@ fun () ->
+        let cache = Ipcp.Cache.Dir (fresh_dir ()) in
+        let src = Ipcp.Source.of_string ~file:"<test>" (chain_src ()) in
+        let open_ () = Result.get_ok (Ipcp.Session.open_ ~config ~cache src) in
+        let ir_reused s =
+          (Ipcp.Result.cache (Ipcp.Session.result s)).Ipcp.Cache.r_ir_reused
+        in
+        ignore (open_ ());
+        Alcotest.(check int) "an open session's copy serves the next" 4
+          (ir_reused (open_ ()));
+        Ipcp.Session.close (open_ ());
+        let s = open_ () in
+        Alcotest.(check int) "after a close, read from disk" 0 (ir_reused s);
+        Alcotest.(check int) "and warm" 4
+          (Ipcp.Result.cache (Ipcp.Session.result s)).Ipcp.Cache.r_summary_reused);
+    Alcotest.test_case "a manifest rewritten on disk is read again" `Quick
+      (fun () ->
+        with_obs @@ fun () ->
+        let dir = fresh_dir () and other = fresh_dir () in
+        ignore (analyze ~cache:(Ipcp.Cache.Dir dir) (chain_src ()));
+        let edited = chain_src ~leaf_c:8 () in
+        ignore (analyze ~cache:(Ipcp.Cache.Dir other) edited);
+        (* the same key's entry for the edited program, copied over the
+           one this process wrote and holds in memory *)
+        Array.iter
+          (fun f ->
+            write_file (Filename.concat dir f)
+              (read_file (Filename.concat other f)))
+          (Sys.readdir other);
+        let r = analyze ~cache:(Ipcp.Cache.Dir dir) edited in
+        let c = report r in
+        Alcotest.(check int) "not served from memory" 0
+          (Metrics.get "incr.memo.hit");
+        Alcotest.(check int) "nothing dirty against the new manifest" 0
+          c.Ipcp.Cache.r_dirty;
+        Alcotest.(check bool) "its fixpoint replayed" true
+          c.Ipcp.Cache.r_fixpoint_reused;
+        Alcotest.(check bool) "equals cold" true
+          (observable r = observable (analyze edited)));
+    Alcotest.test_case "moved procedures reuse their substitution objects"
+      `Quick (fun () ->
+        with_obs @@ fun () ->
+        let src = generated 120 in
+        let cache = Ipcp.Cache.Dir (fresh_dir ()) in
+        ignore (analyze ~cache src);
+        (* a PRINT before the END of an early procedure moves every later
+           one *)
+        let edited = apply_edit src (Insert (20, 4242)) in
+        let warm = analyze ~cache edited in
+        let reused = Metrics.get "incr.subst.reused" in
+        let c = report warm in
+        let clean = c.Ipcp.Cache.r_procs - c.Ipcp.Cache.r_dirty in
+        Alcotest.(check bool) "procedures moved without changing" true
+          (clean - c.Ipcp.Cache.r_ir_reused > 50);
+        Alcotest.(check int) "every clean procedure reused its substitution"
+          clean reused;
+        Alcotest.(check string) "substituted program equals cold"
+          (substituted (analyze edited))
+          (substituted warm));
+    Alcotest.test_case "chained saves keep two objects per procedure" `Quick
+      (fun () ->
+        let dir = fresh_dir () in
+        let cache = Ipcp.Cache.Dir dir in
+        let src0 = generated 120 in
+        ignore (analyze ~cache src0);
+        let n = List.length (Ipcp.Result.procedures (analyze src0)) in
+        let bytes () =
+          match Ipcp.Cache.entries dir with
+          | [ e ] -> e.Ipcp.Cache.ei_bytes
+          | es -> Alcotest.failf "expected one entry, found %d" (List.length es)
+        in
+        let populated = bytes () in
+        let last =
+          List.fold_left
+            (fun src i ->
+              let edit =
+                if i mod 2 = 0 then Literal ((7 * i) + 3, i, 100 + i)
+                else Insert ((11 * i) + 5, i)
+              in
+              let src' = apply_edit src edit in
+              ignore (analyze ~cache src');
+              (* the populate's pack counts as one file *)
+              let objects = List.length (object_files dir) in
+              if objects > 2 * n then
+                Alcotest.failf "save %d: %d objects for %d procedures" i objects
+                  n;
+              if bytes () > 2 * populated then
+                Alcotest.failf "save %d: %d bytes, the populate wrote %d" i
+                  (bytes ()) populated;
+              src')
+            src0 (List.init 20 Fun.id)
+        in
+        (match Ipcp.Cache.entries dir with
+        | [ e ] ->
+            Alcotest.(check bool) "manifest and objects healthy" true
+              (e.Ipcp.Cache.ei_status = Ok ())
+        | es -> Alcotest.failf "expected one entry, found %d" (List.length es));
+        Incr.forget ~dir ~key:"<test>";
+        Alcotest.(check bool) "the last save replays as cold" true
+          (observable (analyze ~cache last) = observable (analyze last)));
+    Alcotest.test_case "a one-literal save writes a tenth of a populate"
+      `Quick (fun () ->
+        with_obs @@ fun () ->
+        let src = generated 1000 in
+        let cache = Ipcp.Cache.Dir (fresh_dir ()) in
+        ignore (analyze ~cache src);
+        let populate = Metrics.get "incr.store.bytes" in
+        ignore (analyze ~cache (apply_edit src (Literal (500, 0, 4242))));
+        let save = Metrics.get "incr.store.bytes" in
+        if save * 10 >= populate then
+          Alcotest.failf "a save wrote %d bytes, a populate %d" save populate);
+  ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ edit_sequence_prop; partly_dirty_prop ]
 
@@ -670,6 +897,7 @@ let suites =
     ("incr-lifecycle", lifecycle_tests);
     ("incr-invalidation", invalidation_tests);
     ("incr-store", store_tests);
+    ("incr-objects", object_tests);
     ("incr-fingerprints", fingerprint_tests);
     ("incr-qcheck", qcheck_tests);
   ]

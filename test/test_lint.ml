@@ -679,6 +679,46 @@ let suite_tests =
           (!total >= 1));
   ]
 
+(* A lint of some procedures is the whole program's lint filtered to
+   them: every procedure of the suite and of a generated mixed program,
+   with and without range facts. *)
+let subset_tests =
+  [
+    Alcotest.test_case "one-procedure lints equal the filtered whole" `Quick
+      (fun () ->
+        let sources =
+          ( "gen-mixed-120",
+            Ipcp_gen.Generator.generate
+              ~params:
+                (Ipcp_gen.Generator.scaled ~shape:Ipcp_gen.Generator.Mixed
+                   ~n_procs:120 ())
+              () )
+          :: List.map
+               (fun (p : Programs.program) -> (p.Programs.name, p.Programs.source))
+               Programs.all
+        in
+        List.iter
+          (fun (name, src) ->
+            let symtab = Sema.parse_and_analyze ~file:name src in
+            let t = Driver.analyze symtab in
+            List.iter
+              (fun ranges ->
+                let whole = Lint.run ?ranges t in
+                List.iter
+                  (fun p ->
+                    let own =
+                      List.filter (fun f -> String.equal f.Lint.f_proc p) whole
+                    in
+                    Alcotest.(check string)
+                      (Fmt.str "%s: %s%s" name p
+                         (if ranges = None then "" else " (ranges)"))
+                      (Lint.render_json own)
+                      (Lint.render_json (Lint.run ?ranges ~procs:[ p ] t)))
+                  symtab.Symtab.order)
+              [ None; Some (Driver.analyze_ranges t) ])
+          sources);
+  ]
+
 let suites =
   [
     ("verify", verifier_tests);
@@ -686,4 +726,5 @@ let suites =
     ("lint", lint_tests);
     ("lint-differential", differential_tests);
     ("lint-suite", suite_tests);
+    ("lint-subset", subset_tests);
   ]

@@ -4,10 +4,10 @@
     Per row the delta is the ratio [now / base]; a row regresses when
     the ratio exceeds [1 + tolerance] and improves below
     [1 - tolerance].  The tolerance is a noise threshold, not a
-    precision claim — CI runs the harness in [--quick] mode on shared
-    machines, so only the gating outcome ([any regression?]) is stable
-    enough to act on, and the threshold must be wide enough that
-    scheduler jitter cannot trip it.
+    precision claim — CI runs the harness on shared machines, so only
+    the gating outcome ([any regression?]) is stable enough to act on,
+    and the threshold must be wide enough that scheduler jitter cannot
+    trip it.
 
     Rows present on one side only ([New]/[Removed]) and rows without a
     usable estimate on either side ([Unfit], e.g. a failed OLS fit

@@ -2,8 +2,7 @@
     over the synthetic suite, prints the §3.1.5 ablations, then runs the
     bechamel timing benchmarks (one [Test.make] per artifact).
 
-    [dune exec bench/main.exe] — add [--no-timing] for the tables only,
-    [--quick] for a trimmed sampling budget (CI).
+    [dune exec bench/main.exe] — add [--no-timing] for the tables only.
 
     Regression gating: [--compare BASELINE.json] loads a previous run's
     [BENCH_ipcp.json], prints per-row deltas against the fresh run,
@@ -22,7 +21,6 @@ let () =
     | [] -> None
   in
   let timing = not (flag "--no-timing") in
-  let quick = flag "--quick" in
   let compare_file = value_of "--compare" argv in
   let report_file =
     Option.value ~default:"BENCH_delta.json" (value_of "--report" argv)
@@ -57,7 +55,7 @@ let () =
   Tables.print_cloning ();
   Tables.print_zoo ();
   if timing then begin
-    let rows = Timing.run ~quick () in
+    let rows = Timing.run () in
     match baseline with
     | None -> ()
     | Some baseline ->

@@ -312,7 +312,4 @@ module Client = struct
   let substituted json =
     Option.value ~default:0
       (Option.bind (Json.member "substituted" json) Json.to_int)
-
-  let close_session cl ~session =
-    Result.map ignore (rpc cl ~meth:"close" [ ("session", Json.Int session) ])
 end

@@ -49,6 +49,7 @@ module Live = Ipcp_dataflow.Live
 module Substitute = Ipcp_opt.Substitute
 module Severity = Diag.Severity
 module I = Ipcp_domains.Interval
+module Json = Ipcp_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Checks *)
@@ -611,45 +612,47 @@ let render_text (fs : finding list) : string =
     fs
   ^ if fs = [] then "" else "\n"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let finding_json f =
-  Fmt.str
-    "{\"check\":\"%s\",\"severity\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"procedure\":\"%s\",\"message\":\"%s\"%s}"
-    (id f.f_check)
-    (Severity.name (finding_severity f))
-    (json_escape f.f_loc.Loc.file)
-    f.f_loc.Loc.line f.f_loc.Loc.col (json_escape f.f_proc)
-    (json_escape f.f_msg)
-    (match f.f_verdict with
-    | None -> ""
-    | Some v -> Fmt.str ",\"verdict\":\"%s\"" (verdict_name v))
+  Json.Obj
+    ([
+       ("check", Json.Str (id f.f_check));
+       ("severity", Json.Str (Severity.name (finding_severity f)));
+       ("file", Json.Str f.f_loc.Loc.file);
+       ("line", Json.Int f.f_loc.Loc.line);
+       ("col", Json.Int f.f_loc.Loc.col);
+       ("procedure", Json.Str f.f_proc);
+       ("message", Json.Str f.f_msg);
+     ]
+    @
+    match f.f_verdict with
+    | None -> []
+    | Some v -> [ ("verdict", Json.Str (verdict_name v)) ])
 
-let render_json ?verdicts (fs : finding list) : string =
+let json ?verdicts (fs : finding list) : Json.t =
   let e, w, i = summary fs in
-  let vjson =
+  Json.Obj
+    ([
+       ("findings", Json.Arr (List.map finding_json fs));
+       ( "summary",
+         Json.Obj
+           [
+             ("errors", Json.Int e);
+             ("warnings", Json.Int w);
+             ("infos", Json.Int i);
+           ] );
+     ]
+    @
     match verdicts with
-    | None -> ""
+    | None -> []
     | Some v ->
-        Fmt.str
-          ",\"verdicts\":{\"proved_safe\":%d,\"proved_fault\":%d,\"unknown\":%d}"
-          v.n_safe v.n_fault v.n_unknown
-  in
-  Fmt.str
-    "{\"findings\":[%s],\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d}%s}"
-    (String.concat "," (List.map finding_json fs))
-    e w i vjson
+        [
+          ( "verdicts",
+            Json.Obj
+              [
+                ("proved_safe", Json.Int v.n_safe);
+                ("proved_fault", Json.Int v.n_fault);
+                ("unknown", Json.Int v.n_unknown);
+              ] );
+        ])
+
+let render_json ?verdicts fs = Json.to_string (json ?verdicts fs)

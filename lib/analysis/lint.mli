@@ -102,6 +102,9 @@ val summary : finding list -> int * int * int
 val render_text : finding list -> string
 (** One [file:line:col: severity[ID]: message] line per finding. *)
 
-val render_json : ?verdicts:verdict_totals -> finding list -> string
+val json : ?verdicts:verdict_totals -> finding list -> Ipcp_obs.Json.t
 (** A JSON object: [{"findings":[...],"summary":{...}}], with a
     ["verdicts"] object appended when [verdicts] is given. *)
+
+val render_json : ?verdicts:verdict_totals -> finding list -> string
+(** {!json}, printed on one line. *)

@@ -189,8 +189,10 @@ module Result : sig
       registry's reports have stable entry points on {!Result} and
       {!Domains}, but several uses have none yet and reach the driver
       through here: [ipcp explain] (with and without [--contexts]),
-      [ipcp lint --contexts], [ipcp compare-precision], [ipcp clone]
-      and the [perf/] benchmark.  The escape hatch will be removed when
+      [ipcp lint --contexts], [ipcp compare-precision], [ipcp clone],
+      the [perf/] benchmark (its traced [cold-2k] op and its [edit-1k]
+      replica) and white-box tests; the [bench/] harness calls none.
+      The escape hatch will be removed when
       api_version 3 gives those a stable entry point; see DESIGN.md
       §"API v2 and the wire protocol" for the migration table. *)
 end

@@ -45,16 +45,6 @@ let const c = Sexp (Symexpr.const c)
 
 let is_const = function Sexp e -> Symexpr.is_const e | _ -> None
 
-(** Convert to the three-level constant lattice (forgetting non-constant
-    expression structure). *)
-let to_clattice = function
-  | Top -> Clattice.Top
-  | Bottom -> Clattice.Bottom
-  | Sexp e -> (
-      match Symexpr.is_const e with
-      | Some c -> Clattice.Const c
-      | None -> Clattice.Bottom)
-
 let pp_value ppf = function
   | Top -> Fmt.string ppf "⊤"
   | Bottom -> Fmt.string ppf "⊥"

@@ -24,8 +24,6 @@ val const : int -> value
 
 val is_const : value -> int option
 
-val to_clattice : value -> Ipcp_domains.Clattice.t
-
 val pp_value : value Fmt.t
 
 val max_size : int

@@ -3,7 +3,7 @@
     The paper solves its interprocedural problem with "a simple worklist
     iterative scheme" on top of ParaScope's dataflow solver; this module is
     the corresponding reusable engine.  It is instantiated intraprocedurally
-    (liveness-style bit-vector problems, reaching definitions) and the same
+    (liveness and available expressions, through {!Monotone}) and the same
     worklist discipline is reused by the interprocedural VAL-set solver in
     [Ipcp_core.Solver].
 

@@ -82,8 +82,6 @@ let is_const = function
   | Range (Fin a, Fin b) when a = b -> Some a
   | _ -> None
 
-let is_bot = function Range (Ninf, Pinf) -> true | _ -> false
-
 let contains t c =
   match t with
   | Top -> false

@@ -17,8 +17,6 @@ include Domain.S with type t := t
 val of_bounds : int -> int -> t
 (** [of_bounds lo hi] is [[lo, hi]], or ⊤ when empty ([lo > hi]). *)
 
-val is_bot : t -> bool
-
 val contains : t -> int -> bool
 (** [contains t c]: [c] may be a value of [t]. *)
 

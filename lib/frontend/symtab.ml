@@ -54,9 +54,6 @@ let var_exn ps name =
   | Some vi -> vi
   | None -> invalid_arg (Fmt.str "Symtab.var_exn: %s not in %s" name ps.proc.Ast.name)
 
-let is_global ps name =
-  match var ps name with Some { kind = Global _; _ } -> true | _ -> false
-
 let is_formal ps name =
   match var ps name with Some { kind = Formal _; _ } -> true | _ -> false
 
@@ -65,8 +62,6 @@ let formals ps = ps.proc.Ast.formals
 
 (** All globals of the program, in declaration order. *)
 let global_names t = t.global_order
-
-let iter_procs f t = List.iter (fun n -> f (proc t n)) t.order
 
 let fold_procs f t acc =
   List.fold_left (fun acc n -> f (proc t n) acc) acc t.order

@@ -53,8 +53,6 @@ val var : proc_sym -> string -> var_info option
 val var_exn : proc_sym -> string -> var_info
 (** Raises [Invalid_argument] for a name not declared in the procedure. *)
 
-val is_global : proc_sym -> string -> bool
-
 val is_formal : proc_sym -> string -> bool
 
 val formals : proc_sym -> string list
@@ -62,8 +60,5 @@ val formals : proc_sym -> string list
 
 val global_names : t -> string list
 (** All globals of the program, in declaration order. *)
-
-val iter_procs : (proc_sym -> unit) -> t -> unit
-(** Iterate in declaration order. *)
 
 val fold_procs : (proc_sym -> 'a -> 'a) -> t -> 'a -> 'a

@@ -1,19 +1,15 @@
 (** Content fingerprints for the incremental engine.
 
-    Two tiers of per-procedure identity:
-
-    - the {e content} hash digests the canonical pretty-printed form of
-      the semantically resolved procedure.  It is stable across
-      whitespace, comments, and the reordering or editing of {e other}
-      procedures, and it is what decides whether a procedure's summary
-      artifacts (symbolic evaluation, jump functions, MOD/REF rows) are
-      still valid;
-    - the {e exact} hash additionally covers source locations (it digests
-      the marshalled resolved AST).  A procedure whose text is unchanged
-      but which moved in the file keeps its content hash while its exact
-      hash changes; its cheap IR (CFG + SSA) is then rebuilt so that
-      diagnostics and substitution report current line numbers, but its
-      expensive summaries are reused.
+    A procedure's {e content} hash digests the canonical pretty-printed
+    form of the semantically resolved procedure.  It is stable across
+    whitespace, comments, and the reordering or editing of {e other}
+    procedures, and it is what decides whether a procedure's summary
+    artifacts (symbolic evaluation, jump functions, MOD/REF rows) are
+    still valid.  A procedure whose text is unchanged but which moved in
+    the file keeps its content hash; its cheap IR (CFG + SSA) is rebuilt
+    so that diagnostics and substitution report current line numbers
+    (the in-process IR is matched by AST, locations included; see
+    {!Incr}), but its expensive summaries are reused.
 
     Program-level keys combine the content hashes in declaration order
     with the global-table and configuration fingerprints; they guard the
@@ -25,23 +21,7 @@ module Pretty = Ipcp_frontend.Pretty
 module Ast = Ipcp_frontend.Ast
 module Config = Ipcp_core.Config
 
-type proc_fp = {
-  fp_content : string;  (** digest of the canonical pretty-printed text *)
-  fp_exact : string;  (** digest of the marshalled AST (covers locations) *)
-  fp_site_offset : int;
-      (** first call-site id of this procedure under the program-wide
-          numbering; cached IR embeds site ids, so it is only valid at
-          the same offset *)
-}
-
 let content (p : Ast.proc) : string = Digest.string (Pretty.proc_to_string p)
-
-let proc ~site_offset (p : Ast.proc) : proc_fp =
-  {
-    fp_content = content p;
-    fp_exact = Digest.string (Marshal.to_string p []);
-    fp_site_offset = site_offset;
-  }
 
 (** The global (COMMON) table determines every procedure's return-jump
     targets and the solver's tracked parameters, so any change to it

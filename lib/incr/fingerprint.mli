@@ -1,29 +1,15 @@
-(** Content fingerprints for the incremental engine: two-tier
-    per-procedure hashes (content vs exact-with-locations), plus
-    global-table, configuration, and whole-program keys. *)
+(** Content fingerprints for the incremental engine: per-procedure
+    content hashes, plus global-table, configuration, and whole-program
+    keys. *)
 
 module Symtab = Ipcp_frontend.Symtab
 module Ast = Ipcp_frontend.Ast
 module Config = Ipcp_core.Config
 
-type proc_fp = {
-  fp_content : string;
-      (** digest of the canonical pretty-printed procedure — stable
-          across whitespace and edits to other procedures; governs
-          summary-artifact reuse *)
-  fp_exact : string;
-      (** digest of the marshalled resolved AST — also covers source
-          locations; governs CFG/SSA reuse *)
-  fp_site_offset : int;
-      (** first call-site id of the procedure under the program-wide
-          numbering *)
-}
-
 val content : Ast.proc -> string
-(** The content tier alone: [fp_content] of {!proc}, without the
-    marshalling and digest of the exact tier. *)
-
-val proc : site_offset:int -> Ast.proc -> proc_fp
+(** Digest of the canonical pretty-printed procedure — stable across
+    whitespace, comments and edits to other procedures; governs
+    summary-artifact reuse. *)
 
 val globals : Symtab.t -> string
 (** Fingerprint of the COMMON table (names, blocks, dimensions, DATA

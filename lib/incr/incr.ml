@@ -29,10 +29,11 @@
     with its decoded objects and the lowered CFG + SSA of every
     procedure, trusted while the checksum of the manifest on disk still
     matches.  IR stays in process only: it embeds source locations,
-    which most edits move for many procedures.  Validity is two-tiered
-    (see {!Fingerprint}): a procedure whose {e content} hash matches
-    offers its summary; only if its {e exact} hash and site-id offset
-    also match does the in-process copy offer its IR.
+    which most edits move for many procedures.  A procedure whose
+    {e content} fingerprint (see {!Fingerprint}) matches offers its
+    summary; only if its AST is also structurally equal to the one the
+    IR was lowered from (source locations included) and its first
+    call-site id is unchanged does the in-process copy offer its IR.
 
     The converged VAL fixpoint is a whole-program artifact, kept only
     when the program-wide content key matches exactly; on any mismatch
@@ -71,9 +72,7 @@ type run_stats = {
 (** One procedure of a manifest.  Digests are raw, and VAL(p) is its
     values in key order (the keys are the procedure's
     {!Solver.params_of}): the manifest is rewritten by every save, and
-    nearly all a one-procedure save writes.  The exact fingerprint tier
-    guards only the IR, which stays in process with its own copy of it,
-    so a row holds the content tier alone. *)
+    nearly all a one-procedure save writes. *)
 type row = {
   pr_name : string;
   pr_content : Digest.t;  (** {!Fingerprint.content} *)
@@ -96,9 +95,10 @@ type manifest = {
   m_run : run_stats;
 }
 
-(** A procedure's lowered forms, in process only. *)
+(** A procedure's lowered forms, in process only, with the AST and
+    first call-site id they were lowered from. *)
 type ir = {
-  ir_exact : string;
+  ir_ast : Ast.proc;
   ir_offset : int;
   ir_cfg : Cfg.t;
   ir_conv : Ssa.conv;
@@ -292,17 +292,30 @@ let entries dir =
 (* ------------------------------------------------------------------ *)
 (* The engine *)
 
-(** Fingerprint every procedure, in declaration order, with the
-    program-wide call-site-id prefix sums. *)
-let fingerprints (symtab : Symtab.t) : (string * Fingerprint.proc_fp) list =
-  let procs =
+(** A procedure of the program at hand, as the cache rows and the
+    in-process IR are matched against it. *)
+type proc_id = {
+  pi_name : string;
+  pi_ast : Ast.proc;
+  pi_offset : int;  (** first call-site id under the program-wide numbering *)
+  pi_content : string;  (** {!Fingerprint.content} *)
+}
+
+(* every procedure, in declaration order *)
+let proc_ids (symtab : Symtab.t) : proc_id list =
+  let asts =
     List.map (fun name -> (Symtab.proc symtab name).Symtab.proc)
       symtab.Symtab.order
   in
   List.map2
-    (fun (proc : Ast.proc) off ->
-      (proc.Ast.name, Fingerprint.proc ~site_offset:off proc))
-    procs (Lower.site_offsets procs)
+    (fun (ast : Ast.proc) off ->
+      {
+        pi_name = ast.Ast.name;
+        pi_ast = ast;
+        pi_offset = off;
+        pi_content = Fingerprint.content ast;
+      })
+    asts (Lower.site_offsets asts)
 
 let content_fingerprints symtab =
   List.map
@@ -338,22 +351,22 @@ let fixpoint_of (m : manifest) (symtab : Symtab.t) : Solver.t option =
   | vals -> Some { Solver.vals; stats = m.m_solver_stats; prov = None }
   | exception (Mismatch | Not_found) -> None
 
-(** What the previous generation still justifies keeping for a program
-    with fingerprints [fps]: the summaries of content-tier hits (the
-    driver drops those in the caller closure of the misses), the
-    in-process IR of exact-tier hits, and the fixpoint when the program
-    key matches. *)
-let reuse_of ~disk prev ~symtab ~fps ~program_hash : Driver.reuse =
+(** What the previous generation still justifies keeping for the
+    procedures [ids]: the summaries of content hits (the driver drops
+    those in the caller closure of the misses), the in-process IR of
+    procedures whose AST and first call-site id are unchanged, and the
+    fixpoint when the program key matches. *)
+let reuse_of ~disk prev ~symtab ~ids ~program_hash : Driver.reuse =
   let m = manifest_of prev in
   let rows = List.fold_left (fun acc r -> SM.add r.pr_name r acc) SM.empty m.m_rows in
   let keep_fixpoint =
     if m.m_program_hash = program_hash then fixpoint_of m symtab else None
   in
   List.fold_left
-    (fun (r : Driver.reuse) (name, (fp : Fingerprint.proc_fp)) ->
+    (fun (r : Driver.reuse) id ->
+      let name = id.pi_name in
       match SM.find_opt name rows with
-      | Some row
-        when String.equal row.pr_content fp.Fingerprint.fp_content -> (
+      | Some row when String.equal row.pr_content id.pi_content -> (
           let summary, ir =
             match prev with
             | Memo mm -> (SM.find_opt name mm.mm_summaries, SM.find_opt name mm.mm_ir)
@@ -362,8 +375,7 @@ let reuse_of ~disk prev ~symtab ~fps ~program_hash : Driver.reuse =
           let r =
             match ir with
             | Some ir
-              when ir.ir_exact = fp.Fingerprint.fp_exact
-                   && ir.ir_offset = fp.Fingerprint.fp_site_offset ->
+              when ir.ir_offset = id.pi_offset && ir.ir_ast = id.pi_ast ->
                 {
                   r with
                   Driver.keep_ir = SM.add name (ir.ir_cfg, ir.ir_conv) r.Driver.keep_ir;
@@ -378,7 +390,7 @@ let reuse_of ~disk prev ~symtab ~fps ~program_hash : Driver.reuse =
           | None -> r)
       | _ -> r)
     { Driver.no_reuse with keep_fixpoint }
-    fps
+    ids
 
 (* The name of a procedure's substitution object: everything its stage-4
    result depends on. *)
@@ -397,10 +409,8 @@ let subst_key ~config_key ~globals_hash ~deep ~offset constants =
        ])
 
 let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
-  let fps = Trace.span "incr:fingerprint" (fun () -> fingerprints symtab) in
-  let contents =
-    List.map (fun (name, fp) -> (name, fp.Fingerprint.fp_content)) fps
-  in
+  let ids = Trace.span "incr:fingerprint" (fun () -> proc_ids symtab) in
+  let contents = List.map (fun id -> (id.pi_name, id.pi_content)) ids in
   let config_key = Fingerprint.config config in
   let globals_hash = Fingerprint.globals symtab in
   let program_hash = Fingerprint.program ~config_key ~globals_hash contents in
@@ -430,12 +440,12 @@ let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
     match prev with
     | Some p ->
         Trace.span "incr:objects" (fun () ->
-            reuse_of ~disk p ~symtab ~fps ~program_hash)
+            reuse_of ~disk p ~symtab ~ids ~program_hash)
     | None -> Driver.no_reuse
   in
   let driver = Driver.analyze ~config ~reuse symtab in
   let kept = Driver.kept_summaries reuse driver.Driver.cg in
-  let n_procs = List.length fps in
+  let n_procs = List.length ids in
   let fixpoint_hit = Option.is_some reuse.Driver.keep_fixpoint in
   (* every summary with this run's jump functions, for the in-process
      copy; the rebuilt ones also marshalled without them, as the objects
@@ -477,22 +487,22 @@ let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
   in
   let rows =
     List.map
-      (fun (name, (fp : Fingerprint.proc_fp)) ->
-        let deep = SM.find name deep in
+      (fun id ->
+        let name = id.pi_name in
         {
           pr_name = name;
-          pr_content = fp.Fingerprint.fp_content;
+          pr_content = id.pi_content;
           pr_summary = summary_name name;
           pr_subst =
-            subst_key ~config_key ~globals_hash ~deep
-              ~offset:fp.Fingerprint.fp_site_offset
+            subst_key ~config_key ~globals_hash ~deep:(SM.find name deep)
+              ~offset:id.pi_offset
               (Driver.constants driver name);
           pr_vals =
             Option.map
               (fun m -> List.map snd (SM.bindings m))
               (SM.find_opt name driver.Driver.solver.Solver.vals);
         })
-      fps
+      ids
   in
   let named_before =
     match prev with
@@ -545,7 +555,7 @@ let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
     (if fixpoint_hit then "incr.fixpoint.hit" else "incr.fixpoint.miss");
   if Obs.on () then
     List.iter
-      (fun (name, _) ->
+      (fun { pi_name = name; _ } ->
         let tier t hit =
           count1
             (Fmt.str "incr.proc.%s.%s/%s" t
@@ -554,7 +564,7 @@ let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
         in
         tier "ir" (SM.mem name reuse.Driver.keep_ir);
         tier "summary" (SM.mem name kept))
-      fps;
+      ids;
   (* the in-process copy this run leaves: the summaries, every
      substitution object, and the IR *)
   let verified = config.Config.verify_ir in
@@ -565,11 +575,11 @@ let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
   in
   let irs =
     List.fold_left
-      (fun m (name, (fp : Fingerprint.proc_fp)) ->
+      (fun m { pi_name = name; pi_ast; pi_offset; _ } ->
         SM.add name
           {
-            ir_exact = fp.Fingerprint.fp_exact;
-            ir_offset = fp.Fingerprint.fp_site_offset;
+            ir_ast = pi_ast;
+            ir_offset = pi_offset;
             ir_cfg = SM.find name driver.Driver.cfgs;
             ir_conv = SM.find name driver.Driver.convs;
             ir_checked =
@@ -578,7 +588,7 @@ let cached_analyze ~config ~dir ~key (symtab : Symtab.t) : outcome =
                  && not (SS.mem name reuse.Driver.unchecked_ir));
           }
           m)
-      SM.empty fps
+      SM.empty ids
   in
   let remember ~sum manifest =
     with_memos (fun () ->

@@ -71,16 +71,11 @@ type outcome = {
           lookup *)
 }
 
-val fingerprints : Symtab.t -> (string * Fingerprint.proc_fp) list
-(** Both tiers of every procedure's fingerprint ({!Fingerprint.proc}),
-    in declaration order, at its program-wide call-site offset — what a
-    cache lookup compares against its manifest. *)
-
 val content_fingerprints : Symtab.t -> (string * string) list
-(** Per-procedure content fingerprints ([fp_content] of
-    {!fingerprints}, computed through {!Fingerprint.content} alone), in
-    declaration order — stable across whitespace and across edits to
-    other procedures.  The diff of two programs' fingerprint lists is the
+(** Per-procedure content fingerprints ({!Fingerprint.content}), in
+    declaration order — what a cache lookup compares against its
+    manifest; stable across whitespace and across edits to other
+    procedures.  The diff of two programs' fingerprint lists is the
     changed set of an incremental update. *)
 
 val program_key : Config.t -> Symtab.t -> string

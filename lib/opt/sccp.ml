@@ -29,8 +29,6 @@ type t = {
 
 let value t v = Option.value ~default:Clattice.Top (Hashtbl.find_opt t.values v)
 
-let block_executable t b = t.executable.(b)
-
 (** Call-effect oracle over the constant lattice. *)
 type call_oracle = {
   c_calldef : Instr.site -> Instr.call_target -> Clattice.t -> Clattice.t;

@@ -16,8 +16,6 @@ type t = {
 
 val value : t -> Instr.var -> Clattice.t
 
-val block_executable : t -> int -> bool
-
 (** Call-effect oracle over the constant lattice. *)
 type call_oracle = {
   c_calldef : Instr.site -> Instr.call_target -> Clattice.t -> Clattice.t;

@@ -189,15 +189,10 @@ let analyze_payload s =
 
 let lint_payload s ~use_ranges =
   let r = S.result s in
-  let text =
-    if use_ranges then
-      let fs, vt = Ipcp.Result.lints_with_verdicts ~ranges:(S.ranges s) r in
-      Lint.render_json ~verdicts:vt fs
-    else Lint.render_json (Ipcp.Result.lints r)
-  in
-  (* our own renderer's output always parses; the fallback is belt and
-     braces for the day it grows a non-JSON prefix *)
-  match Json.parse text with Ok j -> j | Error _ -> Json.Str text
+  if use_ranges then
+    let fs, vt = Ipcp.Result.lints_with_verdicts ~ranges:(S.ranges s) r in
+    Lint.json ~verdicts:vt fs
+  else Lint.json (Ipcp.Result.lints r)
 
 let finding_json (f : Lint.finding) =
   Json.Obj

@@ -213,25 +213,6 @@ let may_modify t ~callee (target : Instr.call_target) =
   | Instr.Tglobal g -> IS.mem (Pglobal g) s
   | Instr.Tcaller -> false (* unpassed caller scalars are untouchable *)
 
-(** Caller-visible scalar variables the call at site [s] may modify:
-    by-reference scalar actuals bound to modified formals, plus modified
-    globals.  (Array effects are not included: constants are not tracked
-    through arrays.) *)
-let site_mod_scalars t (s : Instr.site) : SS.t =
-  let q = mod_of t s.Instr.callee in
-  let acc = ref SS.empty in
-  List.iteri
-    (fun j arg ->
-      if IS.mem (Pformal j) q then
-        match arg with
-        | Instr.Ascalar (_, Some (Instr.Avar x)) -> acc := SS.add x !acc
-        | _ -> ())
-    s.Instr.args;
-  IS.iter
-    (function Pglobal g -> acc := SS.add g !acc | Pformal _ -> ())
-    q;
-  !acc
-
 let pp ppf t =
   SM.iter
     (fun p m ->

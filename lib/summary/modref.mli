@@ -34,7 +34,4 @@ val may_modify : t -> callee:string -> Instr.call_target -> bool
 (** May a call to [callee] modify the target?  [Tcaller] targets (unpassed
     caller scalars) are never modifiable when summaries exist. *)
 
-val site_mod_scalars : t -> Instr.site -> SS.t
-(** Caller-visible scalars a specific call site may modify. *)
-
 val pp : t Fmt.t

@@ -213,5 +213,3 @@ let congruent (t : t) a b =
   match (Hashtbl.find_opt t.class_of a, Hashtbl.find_opt t.class_of b) with
   | Some x, Some y -> x = y
   | _ -> false
-
-let class_id (t : t) v = Hashtbl.find_opt t.class_of v

@@ -12,5 +12,3 @@ type t
 val compute : Cfg.t -> t
 
 val congruent : t -> Instr.var -> Instr.var -> bool
-
-val class_id : t -> Instr.var -> int option

@@ -55,11 +55,6 @@ let of_key t k =
 
 let number t v = Hashtbl.find_opt t.numbers v
 
-let number_exn t v =
-  match number t v with
-  | Some n -> n
-  | None -> invalid_arg ("Gvn.number_exn: " ^ v)
-
 (** Run value numbering over an SSA-form CFG. *)
 let compute (cfg : Cfg.t) : t =
   let t = create () in

@@ -16,8 +16,6 @@ val compute : Cfg.t -> t
 
 val number : t -> Instr.var -> vn option
 
-val number_exn : t -> Instr.var -> vn
-
 val congruent : t -> Instr.var -> Instr.var -> bool
 
 val classes : t -> Instr.var list list

@@ -1,5 +1,6 @@
 (* Tests of the incremental reanalysis engine: cache population and
-   replay, the two-tier invalidation (content vs exact-with-locations),
+   replay, invalidation (content fingerprints for summaries, the AST with
+   its locations and first call-site id for in-process IR),
    the caller-closure dirty set, cache-envelope resilience, and the
    warm-equals-cold property under random single-procedure edits. *)
 
@@ -145,9 +146,10 @@ let lifecycle_tests =
     Alcotest.test_case "warm replay at scale (generated 300-proc program)"
       `Quick
       (fun () ->
-        (* the bench's incr:warm@1k row, shrunk to test size: a full
-           replay of a scaled generated program must be byte-equal to
-           the cold analysis and reuse every per-procedure artifact *)
+        (* a full replay of a scaled generated program must be
+           byte-equal to the cold analysis and reuse every per-procedure
+           artifact; perf's edit-1k workload times partial replays at
+           1,001 procedures *)
         let src =
           Ipcp_gen.Generator.generate
             ~params:(Ipcp_gen.Generator.scaled ~n_procs:300 ())
@@ -222,6 +224,77 @@ let invalidation_tests =
         Alcotest.(check int)
           "iso's summaries survive" 1 c.Ipcp.Cache.r_summary_reused;
         Alcotest.(check int) "obs agrees: three rebuilt" 3 rebuilt);
+    Alcotest.test_case "a moved call-site id rebuilds the IR" `Quick
+      (fun () ->
+        (* [a]'s assignment becomes a call on the same line: [b] and [c]
+           keep their text and locations, but every call-site id after
+           [a]'s moves up by one *)
+        let src body =
+          Ipcp.Source.of_string ~file:"<test>"
+            (Fmt.str
+               {|
+PROGRAM main
+  INTEGER x
+  x = 3
+  CALL a(x)
+  CALL b(x)
+  CALL c(x)
+END
+
+SUBROUTINE a(p)
+  INTEGER p, q
+  %s
+  PRINT *, p
+END
+
+SUBROUTINE b(r)
+  INTEGER r
+  CALL c(r + 1)
+END
+
+SUBROUTINE c(s)
+  INTEGER s
+  PRINT *, s
+END
+|}
+               body)
+        in
+        let cache = Ipcp.Cache.Dir (fresh_dir ()) in
+        let session =
+          Result.get_ok (Ipcp.Session.open_ ~config ~cache (src "q = p + 1"))
+        in
+        ignore (Result.get_ok (Ipcp.Session.update session (src "CALL c(p)")));
+        let warm = Ipcp.Session.result session in
+        let cold = Result.get_ok (Ipcp.analyze ~config (src "CALL c(p)")) in
+        let c = report warm in
+        Alcotest.(check int) "only main's IR kept" 1 c.Ipcp.Cache.r_ir_reused;
+        Alcotest.(check int) "b's and c's summaries kept" 2
+          c.Ipcp.Cache.r_summary_reused;
+        let sites r =
+          let d = Ipcp.Result.driver r in
+          List.map
+            (fun p ->
+              ( p,
+                List.map
+                  (fun (s : Ipcp_ir.Instr.site) -> s.Ipcp_ir.Instr.site_id)
+                  (Names.SM.find p d.Driver.cfgs).Ipcp_ir.Cfg.sites ))
+            d.Driver.symtab.Symtab.order
+        in
+        let jfs r =
+          let d = Ipcp.Result.driver r in
+          List.map
+            (fun p ->
+              List.map
+                (fun (sj : Ipcp_core.Jumpfn.site_jfs) ->
+                  ( sj.Ipcp_core.Jumpfn.sj_site.Ipcp_ir.Instr.site_id,
+                    sj.Ipcp_core.Jumpfn.jfs ))
+                (Names.SM.find p d.Driver.jfs))
+            d.Driver.symtab.Symtab.order
+        in
+        Alcotest.(check (list (pair string (list int))))
+          "call-site ids equal a cache-less run's" (sites cold) (sites warm);
+        Alcotest.(check bool) "jump functions equal a cache-less run's" true
+          (jfs warm = jfs cold));
     Alcotest.test_case "main edit dirties only main" `Quick (fun () ->
         let dir = fresh_dir () in
         let cache = Ipcp.Cache.Dir dir in
@@ -423,12 +496,12 @@ let store_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Session keys: the content-only fingerprints must equal the content
-   tier of the two-tier fingerprints a cache lookup computes. *)
+(* Session keys: the program key is the whole-program digest over the
+   content fingerprints a cache lookup compares, in declaration order. *)
 
 let fingerprint_tests =
   [
-    Alcotest.test_case "content-only keys equal the two-tier fingerprints"
+    Alcotest.test_case "content-only keys equal the inputs of program_key"
       `Quick (fun () ->
         let sources =
           Generator.generate
@@ -439,14 +512,9 @@ let fingerprint_tests =
         List.iter
           (fun src ->
             let symtab = Sema.parse_and_analyze ~file:"<fp>" src in
-            let contents =
-              List.map
-                (fun (name, fp) -> (name, fp.Fingerprint.fp_content))
-                (Incr.fingerprints symtab)
-            in
-            Alcotest.(check (list (pair string string)))
-              "content_fingerprints" contents
-              (Incr.content_fingerprints symtab);
+            let contents = Incr.content_fingerprints symtab in
+            Alcotest.(check (list string))
+              "declaration order" symtab.Symtab.order (List.map fst contents);
             Alcotest.(check string) "program_key"
               (Digest.to_hex
                  (Fingerprint.program

@@ -1,5 +1,5 @@
-(* IR substrate tests: CFG lowering, dominators, SSA invariants, liveness,
-   reaching definitions. *)
+(* IR substrate tests: CFG lowering, dominators, SSA invariants,
+   liveness. *)
 
 open Ipcp_frontend
 open Names
@@ -8,7 +8,6 @@ module Dom = Ipcp_ir.Dom
 module Ssa = Ipcp_ir.Ssa
 module Instr = Ipcp_ir.Instr
 module Liveness = Ipcp_ir.Liveness
-module Reach = Ipcp_dataflow.Reach
 module Generator = Ipcp_gen.Generator
 
 let cfgs_of src =
@@ -215,7 +214,7 @@ let ssa_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Liveness and reaching definitions *)
+(* Liveness *)
 
 let live_src =
   {|
@@ -281,25 +280,6 @@ let dataflow_tests =
                 cfg.Cfg.blocks)
             cfgs
         done);
-    Alcotest.test_case "reaching definitions: kills and merges" `Quick
-      (fun () ->
-        let _, cfgs = cfgs_of live_src in
-        let cfg = SM.find "p" cfgs in
-        let r = Reach.compute cfg in
-        (* at the join block (PRINT), two defs of c reach *)
-        let join =
-          Array.to_list cfg.Cfg.blocks
-          |> List.find (fun (b : Cfg.block) ->
-                 List.exists
-                   (function Instr.Iprint _ -> true | _ -> false)
-                   b.Cfg.instrs)
-        in
-        let defs_of_c = Reach.reaching_defs r ~bid:join.Cfg.bid "c" in
-        Alcotest.(check int) "two defs of c reach the join" 2
-          (List.length defs_of_c);
-        (* only one def of a reaches anywhere after its kill *)
-        let defs_of_a = Reach.reaching_defs r ~bid:join.Cfg.bid "a" in
-        Alcotest.(check int) "one def of a" 1 (List.length defs_of_a));
   ]
 
 let suites =

@@ -527,7 +527,40 @@ END
             "\"procedure\":\"q\"";
             "\"summary\"";
             "\"errors\":1";
-          ]);
+          ];
+        (* a message and a file name that need escaping read back as
+           written *)
+        let module Json = Ipcp_obs.Json in
+        let msg = "say \"x\" \\ then\nnext\tcol" in
+        let f =
+          {
+            Lint.f_check = Lint.Div_by_zero;
+            f_loc = Loc.make ~file:"dir\\a \"b\".f" ~line:3 ~col:7;
+            f_proc = "q";
+            f_msg = msg;
+            f_verdict = Some Lint.Unknown;
+          }
+        in
+        let verdicts = { Lint.n_safe = 0; n_fault = 0; n_unknown = 1 } in
+        match Json.parse (Lint.render_json ~verdicts [ f ]) with
+        | Error e -> Alcotest.failf "unparsable lint JSON: %s" e
+        | Ok j ->
+            let str name j = Option.bind (Json.member name j) Json.to_str in
+            let finding =
+              match Option.bind (Json.member "findings" j) Json.to_list with
+              | Some [ finding ] -> finding
+              | _ -> Alcotest.fail "expected one finding"
+            in
+            Alcotest.(check (option string))
+              "message" (Some msg) (str "message" finding);
+            Alcotest.(check (option string))
+              "file" (Some "dir\\a \"b\".f") (str "file" finding);
+            Alcotest.(check (option string))
+              "verdict" (Some "unknown") (str "verdict" finding);
+            Alcotest.(check (option int))
+              "unknown verdicts" (Some 1)
+              (Option.bind (Json.member "verdicts" j) (fun v ->
+                   Option.bind (Json.member "unknown" v) Json.to_int)));
   ]
 
 (* ------------------------------------------------------------------ *)
